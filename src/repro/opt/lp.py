@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import SolverError
 
@@ -52,6 +51,11 @@ def solve_lp(
     Bounds default to ``[0, 1]`` per variable, matching the relaxation of a
     0-1 integer program.
     """
+    # Imported on first use: only the ILP backend solves LPs, and loading
+    # scipy.optimize would otherwise cost every process that imports repro
+    # tens of MB and most of its start-up time.
+    from scipy.optimize import linprog
+
     objective = np.asarray(objective, dtype=float)
     if bounds is None:
         bounds = [(0.0, 1.0)] * len(objective)

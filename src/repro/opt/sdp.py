@@ -19,6 +19,13 @@ tightens the penalty.  The downstream mapping stages only consume the pairwise
 inner products ``x_ij``, which this solver provides with the same semantics
 ("close to 1" = same mask, "close to -1/(K-1)" = different masks).
 
+The relaxation loop is plain numpy and bit-identical to the original
+six-``np.add.at`` formulation (see :meth:`VectorProgramSolver._minimise`).
+Moving the loop into the compiled solve kernels with a new, documented float
+accumulation order (step (b) of the ROADMAP SDP item) is deliberately not
+done here: it would change the relaxation's floats, so it needs a quality
+gate and a cache-version bump of its own.
+
 The module also exposes :func:`simplex_vectors`, the K unit vectors of Fig. 3
 (mutual inner product exactly ``-1/(K-1)``), used by tests and by the
 discrete-solution encoder.
@@ -26,6 +33,7 @@ discrete-solution encoder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -104,6 +112,10 @@ class SdpOptions:
             raise ConfigurationError("learning rate must be positive")
         if self.penalty_initial <= 0 or self.penalty_growth <= 1:
             raise ConfigurationError("penalty schedule must be increasing")
+        if self.dimension is not None and self.dimension < 1:
+            raise ConfigurationError("dimension must be at least 1")
+        if self.gradient_tolerance < 0:
+            raise ConfigurationError("gradient tolerance must be non-negative")
 
 
 @dataclass
@@ -152,6 +164,12 @@ class VectorProgramSolver:
         self.alpha = alpha
         self.options = options or SdpOptions()
         self.options.validate()
+        dimension = self.options.dimension
+        if dimension is not None and dimension < num_colors - 1:
+            raise ConfigurationError(
+                f"dimension {dimension} too small for {num_colors} colors "
+                f"(need >= {num_colors - 1})"
+            )
 
     # ------------------------------------------------------------------ API
     def solve(
@@ -166,19 +184,23 @@ class VectorProgramSolver:
         """
         if num_vertices <= 0:
             raise SolverError("cannot solve an empty vector program")
-        for (i, j) in list(conflict_edges) + list(stitch_edges):
-            if not (0 <= i < num_vertices and 0 <= j < num_vertices):
-                raise SolverError(f"edge ({i}, {j}) outside vertex range")
+        conflict = np.asarray(conflict_edges, dtype=int).reshape(-1, 2)
+        stitch = np.asarray(stitch_edges, dtype=int).reshape(-1, 2)
+        edges = np.concatenate((conflict, stitch))
+        outside = ((edges < 0) | (edges >= num_vertices)).any(axis=1)
+        if outside.any():
+            i, j = edges[np.argmax(outside)]
+            raise SolverError(f"edge ({i}, {j}) outside vertex range")
 
         # A couple of extra dimensions beyond K helps the low-rank factorisation
         # escape the local minima a rank-K landscape exhibits.
-        dim = self.options.dimension or (self.num_colors + 2)
+        dim = self.options.dimension
+        if dim is None:
+            dim = self.num_colors + 2
         rng = np.random.default_rng(self.options.seed + num_vertices)
         vectors = rng.normal(size=(num_vertices, dim))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 
-        conflict = np.asarray(conflict_edges, dtype=int).reshape(-1, 2)
-        stitch = np.asarray(stitch_edges, dtype=int).reshape(-1, 2)
         lower_bound = -1.0 / (self.num_colors - 1)
 
         penalty = self.options.penalty_initial
@@ -193,9 +215,9 @@ class VectorProgramSolver:
                 break
             penalty *= self.options.penalty_growth
 
+        # The loop's last violation is already that of the final vectors.
         gram = np.clip(vectors @ vectors.T, -1.0, 1.0)
         objective = self._objective(vectors, conflict, stitch)
-        violation = self._max_violation(vectors, conflict, lower_bound)
         return SdpResult(
             gram=gram,
             vectors=vectors,
@@ -248,44 +270,80 @@ class VectorProgramSolver:
         lower_bound: float,
         penalty: float,
     ) -> Tuple[np.ndarray, int]:
-        """Projected gradient descent with a fixed penalty weight."""
+        """Projected gradient descent with a fixed penalty weight.
+
+        Accumulation-order contract: every float this produces is
+        bit-identical to the reference loop in
+        ``tests/opt/test_sdp_parity.py``, which built the gradient from six
+        ``np.add.at`` calls.
+
+        * The gradient is one ``np.bincount`` over the flattened cells
+          ``row * dim + col``.  ``bincount`` adds its weights one at a time,
+          in array order, onto 0.0, so each cell sums its terms in the order
+          the weight blocks are concatenated: ``vj`` onto the conflict
+          ``c0`` rows, ``vi`` onto ``c1``, ``scale * vj`` onto ``c0``,
+          ``scale * vi`` onto ``c1``, then ``-alpha * vj`` onto the stitch
+          ``s0`` rows and ``-alpha * vi`` onto ``s1``.  That is the order of
+          the six ``np.add.at`` calls.  The index arrays are built once per
+          call, not once per iteration.
+        * Every inner product stays an ``np.einsum("ij,ij->i")`` call.  Its
+          SIMD summation order differs from a hand-written multiply-and-sum,
+          which would move the floats.
+        * The norms are the expressions ``np.linalg.norm`` evaluates
+          (``sqrt(t.dot(t))`` over the flattened tangent, ``sqrt`` of an
+          ``add.reduce`` of squares per row) without its Python wrapper.
+        """
         rate = self.options.learning_rate
-        n = vectors.shape[0]
+        tolerance = self.options.gradient_tolerance
+        alpha = self.alpha
+        n, dim = vectors.shape
+        mc, ms = len(conflict), len(stitch)
+        c0, c1 = conflict[:, 0], conflict[:, 1]
+        s0, s1 = stitch[:, 0], stitch[:, 1]
+        # Row k of the weights is multipliers[k] * vectors[sources[k]],
+        # scattered onto row targets[k]; the blocks follow the contract above.
+        sources = np.concatenate((c1, c0, c1, c0, s1, s0))
+        targets = np.concatenate((c0, c1, c0, c1, s0, s1))
+        flat = (targets[:, None] * dim + np.arange(dim)).ravel()
+        multipliers = np.ones(len(sources))
+        multipliers[4 * mc :] = -alpha
+        column = multipliers[:, None]
+        scale, scale_copy = multipliers[2 * mc : 3 * mc], multipliers[3 * mc : 4 * mc]
+        penalty_factor = -2.0 * penalty
+
         previous_value = np.inf
         iterations = 0
         for iteration in range(self.options.max_inner_iterations):
             iterations = iteration + 1
-            gradient = np.zeros_like(vectors)
+            gathered = vectors.take(sources, axis=0)
             value = 0.0
-            if conflict.size:
-                vi = vectors[conflict[:, 0]]
-                vj = vectors[conflict[:, 1]]
+            if mc:
+                vj, vi = gathered[:mc], gathered[mc : 2 * mc]
                 dots = np.einsum("ij,ij->i", vi, vj)
                 value += dots.sum()
-                np.add.at(gradient, conflict[:, 0], vj)
-                np.add.at(gradient, conflict[:, 1], vi)
                 violation = np.maximum(lower_bound - dots, 0.0)
                 value += penalty * float((violation**2).sum())
-                scale = (-2.0 * penalty * violation)[:, None]
-                np.add.at(gradient, conflict[:, 0], scale * vj)
-                np.add.at(gradient, conflict[:, 1], scale * vi)
-            if stitch.size:
-                vi = vectors[stitch[:, 0]]
-                vj = vectors[stitch[:, 1]]
+                np.multiply(penalty_factor, violation, out=scale)
+                scale_copy[:] = scale
+            if ms:
+                vj, vi = gathered[4 * mc : 4 * mc + ms], gathered[4 * mc + ms :]
                 dots = np.einsum("ij,ij->i", vi, vj)
-                value -= self.alpha * dots.sum()
-                np.add.at(gradient, stitch[:, 0], -self.alpha * vj)
-                np.add.at(gradient, stitch[:, 1], -self.alpha * vi)
+                value -= alpha * dots.sum()
+            gathered *= column
+            gradient = np.bincount(
+                flat, weights=gathered.ravel(), minlength=n * dim
+            ).reshape(n, dim)
 
             # Project the gradient onto the tangent space of each unit sphere
             # (Riemannian gradient), then step and re-normalise.
             radial = np.einsum("ij,ij->i", gradient, vectors)[:, None] * vectors
             tangent = gradient - radial
-            grad_norm = float(np.linalg.norm(tangent) / max(n, 1))
-            if grad_norm < self.options.gradient_tolerance:
+            flat_tangent = tangent.ravel()
+            grad_norm = math.sqrt(flat_tangent.dot(flat_tangent)) / n
+            if grad_norm < tolerance:
                 break
             vectors = vectors - rate * tangent
-            norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+            norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1, keepdims=True))
             norms[norms == 0] = 1.0
             vectors = vectors / norms
 

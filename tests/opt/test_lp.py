@@ -1,5 +1,8 @@
 """Unit tests for the LP layer."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,9 @@ class TestSolveLp:
         result = solve_lp([1.0], bounds=[(2.0, 3.0)])
         assert result.is_optimal
         assert result.objective == pytest.approx(2.0)
+
+
+def test_importing_repro_does_not_load_scipy():
+    """scipy is loaded by the first LP solve, not by ``import repro``."""
+    code = "import sys, repro, repro.opt.lp; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -73,6 +73,14 @@ class TestVectorProgramSolver:
         with pytest.raises(SolverError):
             VectorProgramSolver(4).solve(2, [(0, 5)])
 
+    def test_rejects_out_of_range_stitch_edges(self):
+        with pytest.raises(SolverError, match=r"edge \(3, -1\) outside vertex range"):
+            VectorProgramSolver(4).solve(4, [(0, 1), (2, 3)], [(1, 2), (3, -1)])
+
+    def test_out_of_range_message_names_first_bad_edge(self):
+        with pytest.raises(SolverError, match=r"^edge \(0, 5\) outside vertex range$"):
+            VectorProgramSolver(4).solve(3, [(0, 1), (0, 5)], [(7, 1)])
+
     def test_gram_properties(self):
         solver = VectorProgramSolver(4)
         result = solver.solve(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -132,3 +140,25 @@ class TestVectorProgramSolver:
             SdpOptions(max_inner_iterations=0).validate()
         with pytest.raises(ConfigurationError):
             SdpOptions(penalty_growth=1.0).validate()
+        with pytest.raises(ConfigurationError):
+            SdpOptions(dimension=0).validate()
+        with pytest.raises(ConfigurationError):
+            SdpOptions(dimension=-2).validate()
+        with pytest.raises(ConfigurationError):
+            SdpOptions(gradient_tolerance=-1e-6).validate()
+        SdpOptions(dimension=1, gradient_tolerance=0.0).validate()
+
+    def test_dimension_must_embed_the_simplex(self):
+        """Same rule as :func:`simplex_vectors`: at least K - 1 dimensions."""
+        with pytest.raises(ConfigurationError):
+            VectorProgramSolver(4, options=SdpOptions(dimension=2))
+        with pytest.raises(ConfigurationError):
+            VectorProgramSolver(4, options=SdpOptions(dimension=0))
+        result = VectorProgramSolver(4, options=SdpOptions(dimension=3)).solve(3, [(0, 1)])
+        assert result.vectors.shape == (3, 3)
+
+    def test_explicit_dimension_is_used(self):
+        result = VectorProgramSolver(3, options=SdpOptions(dimension=2)).solve(4, [(0, 1)])
+        assert result.vectors.shape == (4, 2)
+        default = VectorProgramSolver(3).solve(4, [(0, 1)])
+        assert default.vectors.shape == (4, 5)
