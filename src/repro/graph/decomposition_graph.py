@@ -267,37 +267,58 @@ class DecompositionGraph:
         return flat.to_graph()
 
     # --------------------------------------------------------------- builders
+    def _relations(self) -> Tuple[Tuple[Dict[int, Set[int]], Set[Tuple[int, int]]], ...]:
+        """The (adjacency, edge set) storage of the three edge relations."""
+        return (
+            (self._conflict_adj, self._conflict_edges),
+            (self._stitch_adj, self._stitch_edges),
+            (self._friend_adj, self._friend_edges),
+        )
+
     def copy(self) -> "DecompositionGraph":
-        """Return a deep structural copy (vertex data objects are shared)."""
+        """Return a deep structural copy (vertex data objects are shared).
+
+        The storage is filled directly, replaying the source's edge sets in
+        their iteration order, so the copy's sets see the same additions as
+        a copy built edge by edge through the mutators.
+        """
         clone = DecompositionGraph()
-        for v, data in self._vertices.items():
-            clone.add_vertex(v, data)
-        for u, v in self._conflict_edges:
-            clone.add_conflict_edge(u, v)
-        for u, v in self._stitch_edges:
-            clone.add_stitch_edge(u, v)
-        for u, v in self._friend_edges:
-            clone.add_friend_edge(u, v)
+        clone._vertices = dict(self._vertices)
+        for (adjacency, edges), (clone_adj, clone_edges) in zip(
+            self._relations(), clone._relations()
+        ):
+            clone_adj.update((v, set()) for v in self._vertices)
+            for key in edges:
+                u, v = key
+                clone_adj[u].add(v)
+                clone_adj[v].add(u)
+                clone_edges.add(key)
         return clone
 
     def subgraph(self, keep: Iterable[int]) -> "DecompositionGraph":
-        """Return the induced subgraph on ``keep`` (original vertex ids kept)."""
+        """Return the induced subgraph on ``keep`` (original vertex ids kept).
+
+        Walks the adjacency of the kept vertices in sorted order, so the cost
+        is the kept vertices' degree sum, not the parent's edge count.
+        """
         keep_set = set(keep)
-        missing = keep_set - set(self._vertices)
+        missing = keep_set.difference(self._vertices)
         if missing:
             raise GraphError(f"subgraph on unknown vertices {sorted(missing)[:5]}")
+        order = sorted(keep_set)
         sub = DecompositionGraph()
-        for v in sorted(keep_set):
-            sub.add_vertex(v, self._vertices[v])
-        for u, v in self._conflict_edges:
-            if u in keep_set and v in keep_set:
-                sub.add_conflict_edge(u, v)
-        for u, v in self._stitch_edges:
-            if u in keep_set and v in keep_set:
-                sub.add_stitch_edge(u, v)
-        for u, v in self._friend_edges:
-            if u in keep_set and v in keep_set:
-                sub.add_friend_edge(u, v)
+        vertices = self._vertices
+        sub._vertices = {v: vertices[v] for v in order}
+        for (adjacency, _), (sub_adj, sub_edges) in zip(
+            self._relations(), sub._relations()
+        ):
+            sub_adj.update((v, set()) for v in order)
+            for u in order:
+                for v in adjacency[u]:
+                    if u < v and v in keep_set:
+                        sub_adj[u].add(v)
+                        sub_adj[v].add(u)
+                        sub_edges.add((u, v))
         return sub
 
     @staticmethod

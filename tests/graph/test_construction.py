@@ -170,6 +170,16 @@ class TestOptionsValidation:
         with pytest.raises(ConfigurationError):
             ConstructionOptions(min_fragment_length=0).validate()
 
+    def test_negative_projection_margin_rejected(self):
+        # A negative margin inverts narrow neighbour projections (a width-20
+        # neighbour with margin -15 projects to (115, 105)).
+        with pytest.raises(ConfigurationError):
+            ConstructionOptions(stitch_projection_margin=-15).validate()
+        with pytest.raises(ConfigurationError):
+            build_decomposition_graph(
+                wires([40]), options=ConstructionOptions(stitch_projection_margin=-1)
+            )
+
     def test_empty_layer_gives_empty_graph(self):
         result = build_decomposition_graph(Layout(), layer="metal1")
         assert result.graph.num_vertices == 0
