@@ -47,6 +47,8 @@ and merges results byte-identically, with heartbeat-driven failover; see
 README "Running a cluster".
 """
 
+import importlib
+
 from repro.errors import (
     ConfigurationError,
     DecompositionError,
@@ -81,24 +83,40 @@ from repro.core import (
     divide_and_color,
     make_colorer,
 )
-from repro.runtime import (
-    BatchResult,
-    CacheStats,
-    ComponentCache,
-    ComponentScheduler,
-    decompose_many,
-    schedule_and_color,
-)
-from repro.analysis import (
-    conflict_report,
-    decomposition_to_svg,
-    graph_statistics,
-    layout_to_svg,
-    mask_balance,
-    summary_text,
-)
 
 __version__ = "1.0.0"
+
+#: Names re-exported from subpackages that ``import repro`` does not load:
+#: :mod:`repro.runtime` pulls in asyncio, sqlite3, multiprocessing and the
+#: observability layer, which a plain decomposition never needs.  They are
+#: imported on first attribute access (PEP 562).
+_LAZY_EXPORTS = {
+    "BatchResult": "repro.runtime",
+    "CacheStats": "repro.runtime",
+    "ComponentCache": "repro.runtime",
+    "ComponentScheduler": "repro.runtime",
+    "decompose_many": "repro.runtime",
+    "schedule_and_color": "repro.runtime",
+    "conflict_report": "repro.analysis",
+    "decomposition_to_svg": "repro.analysis",
+    "graph_statistics": "repro.analysis",
+    "layout_to_svg": "repro.analysis",
+    "mask_balance": "repro.analysis",
+    "summary_text": "repro.analysis",
+}
+
+
+def __getattr__(name):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_EXPORTS))
 
 __all__ = [
     "__version__",

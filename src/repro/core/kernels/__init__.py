@@ -10,6 +10,11 @@ colorings, same tie-breaks, same search statistics.  Parity is the hard
 acceptance gate (``tests/kernels/``), which is why the kernels replicate the
 reference float expression order operation for operation.
 
+The SDP relaxation loop (``repro.opt.sdp.VectorProgramSolver._minimise``)
+is dispatched by the same modes through :func:`sdp_core`: the compiled core
+runs it in ``auto``/``compiled``, the numpy loop (the reference) in
+``python``/``off``.  Both produce the same floats.
+
 Dispatch is controlled by the ``REPRO_SOLVE_KERNELS`` environment variable
 (checked once per solve, overridable in-process via :func:`set_kernel_mode`):
 
@@ -121,10 +126,32 @@ def active_core():
     return core
 
 
+def sdp_core():
+    """Return the compiled core for the SDP relaxation loop, or ``None``.
+
+    Like :func:`active_core`, plus a check that the core's sums reproduce
+    the installed numpy build's bit for bit (``CompiledCore.sdp_matches_numpy``,
+    run once per process on first use).  On a mismatch ``auto`` returns
+    ``None`` (the numpy loop runs) and ``compiled`` raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    core = active_core()
+    if core is None or core.sdp_matches_numpy():
+        return core
+    if kernel_mode() == "compiled":
+        raise ConfigurationError(
+            f"{KERNEL_MODE_ENV}=compiled but the compiled SDP loop does not "
+            "reproduce this numpy build's summation order; use mode "
+            "'auto'/'python' to run the numpy loop"
+        )
+    return None
+
+
 __all__ = [
     "KERNEL_MODE_ENV",
     "active_core",
     "kernel_mode",
+    "sdp_core",
     "select_kernel",
     "set_kernel_mode",
 ]

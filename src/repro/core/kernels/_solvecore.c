@@ -10,6 +10,8 @@
  * compiled results are bit-identical to the interpreter's.
  */
 
+#include <float.h>
+#include <math.h>
 #include <stdlib.h>
 
 #define MAX_COLORS 64 /* mirrored by MAX_COMPILED_COLORS on the python side */
@@ -472,4 +474,237 @@ long long repro_backtrack_search(
     *best_cost_io = best_cost;
     *completed_out = completed;
     return expansions;
+}
+
+/* ------------------------------------------------------------------------
+ * SDP relaxation loop (repro.opt.sdp.VectorProgramSolver._minimise_numpy).
+ *
+ * Every float matches the numpy loop, so the sums below replicate the
+ * summation orders of the numpy build, checked against it once per process by
+ * repro.core.kernels.sdp_core:
+ *
+ *   row_dot       np.einsum("ij,ij->i") per row: two lane accumulators
+ *                 (even/odd columns) from 0.0; each 8-column block adds its
+ *                 column pairs in the order 3, 2, 1, 0; the tail goes in
+ *                 pairs with a missing odd column counting as 0*0; the
+ *                 result is 0.0 + (lane0 + lane1).
+ *   pairwise_sum  numpy's pairwise summation, as used by ndarray.sum()
+ *                 and np.add.reduce; the reductions add it onto 0.0.
+ */
+
+static double row_dot(const double *a, const double *b, int dim)
+{
+    double lane0 = 0.0, lane1 = 0.0;
+    int j = 0;
+    for (; dim - j >= 8; j += 8) {
+        for (int pair = 3; pair >= 0; pair--) {
+            lane0 = a[j + 2 * pair] * b[j + 2 * pair] + lane0;
+            lane1 = a[j + 2 * pair + 1] * b[j + 2 * pair + 1] + lane1;
+        }
+    }
+    for (; j < dim; j += 2) {
+        lane0 = a[j] * b[j] + lane0;
+        lane1 = (j + 1 < dim ? a[j + 1] * b[j + 1] : 0.0 * 0.0) + lane1;
+    }
+    return 0.0 + (lane0 + lane1);
+}
+
+static double pairwise_sum(const double *a, long long n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long long i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        long long i = 8;
+        for (; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    long long half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* Load-time probe hooks: row dots of a and b, 0.0 + pairwise row sums of a. */
+void repro_sdp_probe_rows(
+    int n, int dim, const double *a, const double *b, double *dots, double *sums)
+{
+    for (int i = 0; i < n; i++) {
+        dots[i] = row_dot(a + (size_t)i * dim, b + (size_t)i * dim, dim);
+        sums[i] = 0.0 + pairwise_sum(a + (size_t)i * dim, dim);
+    }
+}
+
+double repro_pairwise_sum(const double *a, long long n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+enum { GRAD_CONTINUE, GRAD_STOP, GRAD_UNDECIDED };
+
+/* Decide the numpy loop's `sqrt(t.dot(t)) / n < tolerance`.
+ *
+ * numpy's t.dot(t) is a BLAS ddot whose summation order depends on the
+ * CPU, so it is not replicated.  Both it and `sum_sq` approximate the same
+ * exact sum of N = n*dim squares with relative error below N*eps/2 while
+ * the squares stay normal numbers; through sqrt and the division the two
+ * norms then differ by less than (N + 4) * eps/2 relative.  Outside twice
+ * that margin both sides of the comparison agree; inside it (and for NaN,
+ * or a threshold so small that subnormal squares could matter) the caller
+ * redoes the test with numpy.
+ */
+static int grad_norm_decision(double sum_sq, int n, int dim, double tolerance)
+{
+    if (!(tolerance > 0.0))
+        return GRAD_CONTINUE; /* a norm is never < 0 (NaN included) */
+    if (tolerance * n < 1e-140)
+        return GRAD_UNDECIDED;
+    if (sum_sq < 1e-300)
+        return GRAD_STOP; /* both norms are below 1e-150 / n < tolerance */
+    double margin = ((double)n * dim + 4.0) * DBL_EPSILON;
+    double grad_norm = sqrt(sum_sq) / n;
+    if (grad_norm < tolerance * (1.0 - margin))
+        return GRAD_STOP;
+    if (grad_norm >= tolerance * (1.0 + margin))
+        return GRAD_CONTINUE;
+    return GRAD_UNDECIDED;
+}
+
+/* Projected gradient descent with a fixed penalty weight.
+ *
+ * vectors (n x dim, row-major) is updated in place.  conflict and stitch
+ * hold mc and ms endpoint pairs.  tangent (n x dim) and scratch
+ * (mc + max(mc, ms) + dim doubles) are work buffers.  *iterations and
+ * state[2] = {previous objective value, current objective value} carry the
+ * loop across calls.
+ *
+ * Returns 0 when the loop has finished and 1 when the gradient-norm test
+ * is undecided (see grad_norm_decision): tangent then holds the iteration's
+ * tangent.  The caller either stops, or calls again with resume = 1 to
+ * take the step and continue.
+ */
+int repro_sdp_minimise(
+    int n, int dim, int mc, int ms,
+    const long long *conflict, const long long *stitch,
+    double alpha, double lower_bound, double penalty, double rate,
+    double tolerance, int max_iterations, int resume,
+    double *vectors, double *tangent, double *scratch,
+    int *iterations, double *state)
+{
+    double *scale = scratch;        /* mc: -2 * penalty * violation */
+    double *terms = scratch + mc;   /* max(mc, ms): summed per-edge terms */
+    double *row = terms + (mc > ms ? mc : ms); /* dim: squares of one row */
+    double penalty_factor = -2.0 * penalty;
+    double minus_alpha = -alpha;
+    size_t cells = (size_t)n * dim;
+    double previous = state[0];
+    double value = state[1];
+    int it = *iterations;
+
+    for (;;) {
+        if (!resume) {
+            if (it >= max_iterations)
+                break;
+            it++;
+            value = 0.0;
+            if (mc) {
+                for (int e = 0; e < mc; e++)
+                    terms[e] = row_dot(vectors + conflict[2 * e] * dim,
+                                       vectors + conflict[2 * e + 1] * dim, dim);
+                value += 0.0 + pairwise_sum(terms, mc);
+                for (int e = 0; e < mc; e++) {
+                    double violation = lower_bound - terms[e];
+                    if (violation < 0.0)
+                        violation = 0.0;
+                    terms[e] = violation * violation;
+                    scale[e] = penalty_factor * violation;
+                }
+                value += penalty * (0.0 + pairwise_sum(terms, mc));
+            }
+            if (ms) {
+                for (int e = 0; e < ms; e++)
+                    terms[e] = row_dot(vectors + stitch[2 * e] * dim,
+                                       vectors + stitch[2 * e + 1] * dim, dim);
+                value -= alpha * (0.0 + pairwise_sum(terms, ms));
+            }
+
+            /* The gradient, built in tangent: one term per cell at a time,
+             * in the block order of the numpy loop's bincount weights. */
+            for (size_t k = 0; k < cells; k++)
+                tangent[k] = 0.0;
+            for (int block = 0; block < 6; block++) {
+                int count = block < 4 ? mc : ms;
+                const long long *edges = block < 4 ? conflict : stitch;
+                int target_end = block % 2; /* 0: first endpoint, 1: second */
+                for (int e = 0; e < count; e++) {
+                    double *target = tangent + edges[2 * e + target_end] * dim;
+                    const double *source =
+                        vectors + edges[2 * e + 1 - target_end] * dim;
+                    if (block < 2) {
+                        for (int j = 0; j < dim; j++)
+                            target[j] += source[j];
+                    } else {
+                        double factor = block < 4 ? scale[e] : minus_alpha;
+                        for (int j = 0; j < dim; j++)
+                            target[j] += source[j] * factor;
+                    }
+                }
+            }
+
+            /* Project onto the tangent space of each unit sphere. */
+            double sum_sq = 0.0;
+            for (int i = 0; i < n; i++) {
+                double *t = tangent + (size_t)i * dim;
+                const double *v = vectors + (size_t)i * dim;
+                double radial = row_dot(t, v, dim);
+                for (int j = 0; j < dim; j++) {
+                    t[j] = t[j] - radial * v[j];
+                    sum_sq += t[j] * t[j];
+                }
+            }
+            int decision = grad_norm_decision(sum_sq, n, dim, tolerance);
+            if (decision == GRAD_STOP)
+                break;
+            if (decision == GRAD_UNDECIDED) {
+                *iterations = it;
+                state[0] = previous;
+                state[1] = value;
+                return 1;
+            }
+        }
+        resume = 0;
+
+        /* Step, then re-normalise each row. */
+        for (int i = 0; i < n; i++) {
+            double *v = vectors + (size_t)i * dim;
+            const double *t = tangent + (size_t)i * dim;
+            for (int j = 0; j < dim; j++) {
+                v[j] = v[j] - rate * t[j];
+                row[j] = v[j] * v[j];
+            }
+            double norm = sqrt(0.0 + pairwise_sum(row, dim));
+            if (norm == 0.0)
+                norm = 1.0;
+            for (int j = 0; j < dim; j++)
+                v[j] = v[j] / norm;
+        }
+
+        if (fabs(previous - value) < 1e-9 * (1.0 + fabs(value)))
+            break;
+        previous = value;
+    }
+    *iterations = it;
+    state[0] = previous;
+    state[1] = value;
+    return 0;
 }

@@ -32,6 +32,8 @@ from array import array
 from pathlib import Path
 from typing import Optional, Tuple
 
+import numpy as np
+
 #: Set to ``0`` to forbid compiling (pre-built caches are still loaded).
 BUILD_ENV = "REPRO_KERNELS_BUILD"
 #: Overrides the build-cache directory.
@@ -63,6 +65,7 @@ class CompiledCore:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
+        self._sdp_parity: Optional[bool] = None
         lib.repro_greedy_walk.argtypes = [
             ctypes.c_int,
             ctypes.c_int,
@@ -154,6 +157,38 @@ class CompiledCore:
             ctypes.c_void_p,
         ]
         lib.repro_peel.restype = ctypes.c_int
+        lib.repro_sdp_minimise.argtypes = [
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.POINTER(ctypes.c_int),
+            ctypes.c_void_p,
+        ]
+        lib.repro_sdp_minimise.restype = ctypes.c_int
+        lib.repro_sdp_probe_rows.argtypes = [
+            ctypes.c_int,
+            ctypes.c_int,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+        ]
+        lib.repro_sdp_probe_rows.restype = None
+        lib.repro_pairwise_sum.argtypes = [ctypes.c_void_p, ctypes.c_longlong]
+        lib.repro_pairwise_sum.restype = ctypes.c_double
 
     @staticmethod
     def _buf(arr: array) -> ctypes.c_void_p:
@@ -326,6 +361,94 @@ class CompiledCore:
         if expansions < 0:  # allocation failure inside the core
             return None
         return expansions, bool(completed.value), cost_io.value
+
+    def sdp_minimise(
+        self,
+        vectors,
+        tangent,
+        conflict,
+        stitch,
+        alpha: float,
+        lower_bound: float,
+        penalty: float,
+        rate: float,
+        tolerance: float,
+        max_iterations: int,
+        iterations: int,
+        state,
+        resume: bool,
+    ) -> Tuple[int, bool]:
+        """Run the C relaxation loop; return ``(iterations, undecided)``.
+
+        ``vectors`` and ``tangent`` are C-contiguous float64 ``(n, dim)``
+        arrays, ``conflict`` and ``stitch`` C-contiguous int64 ``(m, 2)``
+        arrays, ``state`` a float64 array ``[previous value, value]``.
+        ``vectors`` and ``state`` are updated in place.  ``undecided`` means
+        the gradient-norm test is left to the caller, with the iteration's
+        tangent in ``tangent``; ``resume=True`` then takes the step.
+        """
+        n, dim = vectors.shape
+        mc, ms = len(conflict), len(stitch)
+        scratch = np.empty(mc + max(mc, ms) + dim)
+        counter = ctypes.c_int(iterations)
+        status = self._lib.repro_sdp_minimise(
+            n,
+            dim,
+            mc,
+            ms,
+            conflict.ctypes.data,
+            stitch.ctypes.data,
+            alpha,
+            lower_bound,
+            penalty,
+            rate,
+            tolerance,
+            min(max_iterations, 2**31 - 1),  # more is unreachable anyway
+            1 if resume else 0,
+            vectors.ctypes.data,
+            tangent.ctypes.data,
+            scratch.ctypes.data,
+            ctypes.byref(counter),
+            state.ctypes.data,
+        )
+        return counter.value, status == 1
+
+    def sdp_matches_numpy(self) -> bool:
+        """Whether the C sums reproduce this numpy build's, bit for bit.
+
+        The SDP loop replicates the summation orders of ``np.einsum`` row
+        dots and of numpy's pairwise ``sum``/``add.reduce``.  Those are
+        properties of the numpy build, so they are checked here on fixed
+        seeded data with a wide spread of magnitudes: row dots and row sums
+        for dimensions 1-17, whole-array sums for lengths 1-300.  Memoised.
+        """
+        if self._sdp_parity is None:
+            self._sdp_parity = self._probe_sdp_sums()
+        return self._sdp_parity
+
+    def _probe_sdp_sums(self) -> bool:
+        rng = np.random.default_rng(20140601)
+
+        def spread(shape):
+            return rng.normal(size=shape) * np.exp2(rng.integers(-30, 30, size=shape))
+
+        rows = 300
+        for dim in range(1, 18):
+            a, b = spread((rows, dim)), spread((rows, dim))
+            dots, sums = np.empty(rows), np.empty(rows)
+            self._lib.repro_sdp_probe_rows(
+                rows, dim, a.ctypes.data, b.ctypes.data, dots.ctypes.data, sums.ctypes.data
+            )
+            if not np.array_equal(dots, np.einsum("ij,ij->i", a, b)):
+                return False
+            if not np.array_equal(sums, np.add.reduce(a, axis=1)):
+                return False
+        values = spread(300)
+        for length in range(1, 301):
+            head = values[:length]
+            if self._lib.repro_pairwise_sum(head.ctypes.data, length) != head.sum():
+                return False
+        return True
 
 
 def _cache_dir() -> Path:

@@ -17,7 +17,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect, bounding_box
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shape:
     """A single layout feature.
 

@@ -16,7 +16,7 @@ from repro.geometry.point import Point, as_point
 from repro.geometry.rect import Rect, bounding_box, merge_touching_rects
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polygon:
     """A simple rectilinear polygon given by its outline vertices.
 

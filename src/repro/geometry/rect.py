@@ -16,7 +16,7 @@ from repro.errors import GeometryError
 from repro.geometry.point import Point
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Rect:
     """A closed axis-aligned rectangle ``[xl, xh] x [yl, yh]``.
 

@@ -48,7 +48,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
-from repro.graph.decomposition_graph import DecompositionGraph, VertexData
+from repro.graph.decomposition_graph import EMPTY_ADJACENCY, DecompositionGraph, VertexData
 from repro.graph.stitch import StitchCandidate, split_feature
 
 
@@ -241,10 +241,15 @@ def build_decomposition_graph(
             vertices[vertex] = VertexData(shape_id=shape.shape_id, fragment=fragment_index)
             fragments[vertex] = piece
         shape_vertices[shape.shape_id] = ids
+    # Vertices without an edge in a relation share one empty placeholder;
+    # a real set is made just before a vertex's first edge.  Creating a set
+    # early or late does not change the order it iterates in.
     for adjacency in (graph._conflict_adj, graph._stitch_adj, graph._friend_adj):
-        adjacency.update((vertex, set()) for vertex in vertex_ids)
+        adjacency.update(dict.fromkeys(vertex_ids, EMPTY_ADJACENCY))
     stitch_adj, stitch_edges = graph._stitch_adj, graph._stitch_edges
     for ids in shape_vertices.values():
+        if len(ids) > 1:
+            stitch_adj.update((vertex, set()) for vertex in ids)
         for left, right in zip(ids, ids[1:]):
             stitch_adj[left].add(right)
             stitch_adj[right].add(left)
@@ -270,6 +275,11 @@ def build_decomposition_graph(
         return u, v, packed_fragments.squared_gaps(u, v, cap)
 
     def link(adjacency, edge_set, u: np.ndarray, v: np.ndarray) -> None:
+        touched = np.zeros(len(vertex_ids), dtype=bool)
+        touched[u] = touched[v] = True
+        for vertex in np.flatnonzero(touched).tolist():
+            if adjacency[vertex] is EMPTY_ADJACENCY:
+                adjacency[vertex] = set()
         # Edges (u[k], v[k]) in order, exactly as the mutators would add them.
         for x, y in zip(shared_ids[u].tolist(), shared_ids[v].tolist()):
             adjacency[x].add(y)

@@ -22,12 +22,30 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 from repro.errors import GraphError
 
 
+#: Adjacency of a vertex with no edge in a relation.  Graph builders map
+#: every such vertex to this one shared object instead of an empty set each;
+#: the mutators replace it with a real set on the vertex's first edge.
+EMPTY_ADJACENCY: FrozenSet[int] = frozenset()
+
+
 def _edge_key(u: int, v: int) -> Tuple[int, int]:
     """Canonical undirected edge key."""
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass
+def _own_set(adjacency: Dict[int, Set[int]], vertex: int) -> Set[int]:
+    """Return ``vertex``'s adjacency set, replacing the shared empty one.
+
+    Checked by type, not identity: a pickled graph comes back with its own
+    copy of the placeholder.
+    """
+    neighbours = adjacency[vertex]
+    if type(neighbours) is frozenset:
+        neighbours = adjacency[vertex] = set()
+    return neighbours
+
+
+@dataclass(slots=True)
 class VertexData:
     """Per-vertex metadata carried through the decomposition flow.
 
@@ -140,24 +158,24 @@ class DecompositionGraph:
     def add_conflict_edge(self, u: int, v: int) -> None:
         """Add a conflict edge between distinct existing vertices."""
         self._check_pair(u, v)
-        self._conflict_adj[u].add(v)
-        self._conflict_adj[v].add(u)
+        _own_set(self._conflict_adj, u).add(v)
+        _own_set(self._conflict_adj, v).add(u)
         self._conflict_edges.add(_edge_key(u, v))
         self._invalidate()
 
     def add_stitch_edge(self, u: int, v: int) -> None:
         """Add a stitch edge between distinct existing vertices."""
         self._check_pair(u, v)
-        self._stitch_adj[u].add(v)
-        self._stitch_adj[v].add(u)
+        _own_set(self._stitch_adj, u).add(v)
+        _own_set(self._stitch_adj, v).add(u)
         self._stitch_edges.add(_edge_key(u, v))
         self._invalidate()
 
     def add_friend_edge(self, u: int, v: int) -> None:
         """Add a color-friendly edge between distinct existing vertices."""
         self._check_pair(u, v)
-        self._friend_adj[u].add(v)
-        self._friend_adj[v].add(u)
+        _own_set(self._friend_adj, u).add(v)
+        _own_set(self._friend_adj, v).add(u)
         self._friend_edges.add(_edge_key(u, v))
         self._invalidate()
 
@@ -233,7 +251,9 @@ class DecompositionGraph:
     def neighbors(self, vertex: int) -> Set[int]:
         """Return the union of conflict and stitch neighbours."""
         self._require(vertex)
-        return self._conflict_adj[vertex] | self._stitch_adj[vertex]
+        # ``set() | b`` iterates like ``empty | b``, and keeps the result a set
+        # when the conflict side is the shared frozenset.
+        return (self._conflict_adj[vertex] or set()) | self._stitch_adj[vertex]
 
     def conflict_degree(self, vertex: int) -> int:
         """Number of conflict edges incident to ``vertex`` (d_conf in the paper)."""

@@ -269,7 +269,11 @@ class FlatGraph:
         worker-side canonical hash and the solve kernels consume the shipped
         buffers directly instead of re-flattening the rebuilt dicts.
         """
-        from repro.graph.decomposition_graph import DecompositionGraph, VertexData
+        from repro.graph.decomposition_graph import (
+            EMPTY_ADJACENCY,
+            DecompositionGraph,
+            VertexData,
+        )
 
         ids = self.vertex_ids
         graph = DecompositionGraph()
@@ -283,15 +287,16 @@ class FlatGraph:
                     weight=self.weights[rank],
                 )
             adjacencies = (graph._conflict_adj, graph._stitch_adj, graph._friend_adj)
-            for adjacency in adjacencies:
-                for vertex in ids:
-                    adjacency[vertex] = set()
             edge_sets = (graph._conflict_edges, graph._stitch_edges, graph._friend_edges)
             for edges, adjacency, edge_set in zip(
                 (self.conflict_edges, self.stitch_edges, self.friend_edges),
                 adjacencies,
                 edge_sets,
             ):
+                # Vertices without an edge here share the empty placeholder.
+                adjacency.update(dict.fromkeys(ids, EMPTY_ADJACENCY))
+                for rank in dict.fromkeys(edges):
+                    adjacency[ids[rank]] = set()
                 for i in range(0, len(edges), 2):
                     u, v = ids[edges[i]], ids[edges[i + 1]]
                     if u == v:

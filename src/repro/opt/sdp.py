@@ -19,12 +19,11 @@ tightens the penalty.  The downstream mapping stages only consume the pairwise
 inner products ``x_ij``, which this solver provides with the same semantics
 ("close to 1" = same mask, "close to -1/(K-1)" = different masks).
 
-The relaxation loop is plain numpy and bit-identical to the original
-six-``np.add.at`` formulation (see :meth:`VectorProgramSolver._minimise`).
-Moving the loop into the compiled solve kernels with a new, documented float
-accumulation order (step (b) of the ROADMAP SDP item) is deliberately not
-done here: it would change the relaxation's floats, so it needs a quality
-gate and a cache-version bump of its own.
+The relaxation loop runs in the compiled solve core (``_solvecore.c``) when
+``REPRO_SOLVE_KERNELS`` allows it and in numpy otherwise.  Both loops produce
+the same floats, bit for bit, as the original six-``np.add.at`` formulation
+(see :meth:`VectorProgramSolver._minimise`), so the kernel mode never changes
+a result or a cache key.
 
 The module also exposes :func:`simplex_vectors`, the K unit vectors of Fig. 3
 (mutual inner product exactly ``-1/(K-1)``), used by tests and by the
@@ -39,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.kernels import sdp_core
 from repro.errors import ConfigurationError, SolverError
 
 
@@ -271,6 +271,80 @@ class VectorProgramSolver:
         penalty: float,
     ) -> Tuple[np.ndarray, int]:
         """Projected gradient descent with a fixed penalty weight.
+
+        Returns the new vectors and the number of inner iterations.  The
+        loop runs in the compiled core when :func:`repro.core.kernels.sdp_core`
+        returns one (modes ``auto``/``compiled``), otherwise in numpy
+        (:meth:`_minimise_numpy`, the reference).  The C loop
+        (``repro_sdp_minimise``, built with ``-O2 -ffp-contract=off``)
+        reproduces every float of the numpy loop:
+
+        * Row dots follow ``np.einsum("ij,ij->i")``: two lane accumulators
+          (even/odd columns) from 0.0, each 8-column block adding its
+          column pairs in the order 3, 2, 1, 0, the tail in pairs (a
+          missing odd column counts as ``0*0``), result
+          ``0.0 + (lane0 + lane1)``.
+        * ``ndarray.sum()`` and the per-row ``np.add.reduce`` are
+          ``0.0 + `` numpy's pairwise sum: one by one from 0.0 below 8
+          terms; eight accumulators combined as
+          ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the tail up to 128;
+          beyond that split at ``n/2`` rounded down to a multiple of 8.
+        * The gradient adds each term one by one onto 0.0 in the
+          ``bincount`` block order described below.
+        * The stopping test ``sqrt(t.dot(t)) / n < tolerance`` uses a BLAS
+          ``ddot`` whose order depends on the CPU, so C does not replicate
+          it.  C decides the test itself only when its own norm lies
+          outside a relative margin of ``(n * dim + 4) * DBL_EPSILON``
+          around ``tolerance``; otherwise it hands the iteration's tangent
+          back and numpy decides, after which C stops or resumes.
+
+        Those orders are properties of the numpy build; ``sdp_core``
+        checks them against numpy once per process and falls back to the
+        numpy loop (or raises, in mode ``compiled``) on a mismatch.
+        """
+        core = sdp_core()
+        if core is None:
+            return self._minimise_numpy(vectors, conflict, stitch, lower_bound, penalty)
+        tolerance = self.options.gradient_tolerance
+        n = len(vectors)
+        vectors = np.array(vectors, dtype=np.float64, order="C")
+        tangent = np.empty_like(vectors)
+        conflict = np.ascontiguousarray(conflict, dtype=np.int64)
+        stitch = np.ascontiguousarray(stitch, dtype=np.int64)
+        state = np.array([np.inf, 0.0])  # previous and current objective value
+        iterations, resume = 0, False
+        while True:
+            iterations, undecided = core.sdp_minimise(
+                vectors,
+                tangent,
+                conflict,
+                stitch,
+                self.alpha,
+                lower_bound,
+                penalty,
+                self.options.learning_rate,
+                tolerance,
+                self.options.max_inner_iterations,
+                iterations,
+                state,
+                resume,
+            )
+            if not undecided:
+                return vectors, iterations
+            flat_tangent = tangent.ravel()
+            if math.sqrt(flat_tangent.dot(flat_tangent)) / n < tolerance:
+                return vectors, iterations
+            resume = True
+
+    def _minimise_numpy(
+        self,
+        vectors: np.ndarray,
+        conflict: np.ndarray,
+        stitch: np.ndarray,
+        lower_bound: float,
+        penalty: float,
+    ) -> Tuple[np.ndarray, int]:
+        """The relaxation loop in numpy: the reference for the C loop.
 
         Accumulation-order contract: every float this produces is
         bit-identical to the reference loop in

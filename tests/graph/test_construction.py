@@ -1,5 +1,7 @@
 """Unit tests for decomposition-graph construction from layouts."""
 
+import pickle
+
 import pytest
 
 from repro.core.options import (
@@ -11,6 +13,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.graph.construction import ConstructionOptions, build_decomposition_graph
+from repro.graph.decomposition_graph import EMPTY_ADJACENCY
 
 
 def wires(spacings, width=20, length=400):
@@ -184,3 +187,51 @@ class TestOptionsValidation:
         result = build_decomposition_graph(Layout(), layer="metal1")
         assert result.graph.num_vertices == 0
         assert result.num_features == 0
+
+
+class TestSharedEmptyAdjacency:
+    """Edge-free vertices of a built graph share one empty placeholder."""
+
+    @staticmethod
+    def isolated_graph():
+        # Two far-apart contacts and one close pair: 0 and 1 have no edge at all.
+        layout = Layout()
+        for x in (0, 1000, 2000, 2040):
+            layout.add_rect(Rect(x, 0, x + 20, 20))
+        options = ConstructionOptions(min_coloring_distance=80, enable_stitches=False)
+        graph = build_decomposition_graph(layout, options=options).graph
+        assert graph.num_conflict_edges == 1
+        return graph
+
+    def test_placeholder_is_shared(self):
+        graph = self.isolated_graph()
+        for adjacency in (graph._conflict_adj, graph._stitch_adj, graph._friend_adj):
+            assert adjacency[0] is EMPTY_ADJACENCY and adjacency[1] is EMPTY_ADJACENCY
+        assert type(graph._conflict_adj[2]) is set
+        assert graph.neighbors(0) == set() and type(graph.neighbors(0)) is set
+
+    @pytest.mark.parametrize("kind", ["conflict", "stitch", "friend"])
+    def test_add_and_remove_edges_on_isolated_vertices(self, kind):
+        graph = self.isolated_graph()
+        add = getattr(graph, f"add_{kind}_edge")
+        add(0, 1)
+        add(1, 2)
+        adjacency = getattr(graph, f"_{kind}_adj")
+        assert adjacency[0] == {1} and adjacency[1] == {0, 2}
+        assert EMPTY_ADJACENCY == frozenset()  # never written into
+        if kind != "friend":
+            assert 1 in graph.neighbors(0) and type(graph.neighbors(0)) is set
+            getattr(graph, f"remove_{kind}_edge")(0, 1)
+            assert adjacency[0] == set() and 0 not in adjacency[1]
+        graph.remove_vertex(1)
+        assert not graph.has_vertex(1)
+        assert graph.conflict_edges() == [(2, 3)]
+
+    def test_pickled_and_flattened_graphs_stay_mutable(self):
+        graph = self.isolated_graph()
+        for copy in (pickle.loads(pickle.dumps(graph)), graph.to_arrays().to_graph()):
+            copy.add_conflict_edge(0, 1)
+            copy.add_stitch_edge(0, 3)
+            assert copy.conflict_neighbors(0) == {1}
+            assert copy.stitch_neighbors(3) == {0}
+            assert graph.conflict_neighbors(0) == set()

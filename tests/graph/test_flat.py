@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -38,7 +39,7 @@ def _assert_graphs_equal(a: DecompositionGraph, b: DecompositionGraph) -> None:
     assert a.stitch_edges() == b.stitch_edges()
     assert a.friend_edges() == b.friend_edges()
     for vertex in a.vertices():
-        assert vars(a.vertex_data(vertex)) == vars(b.vertex_data(vertex))
+        assert asdict(a.vertex_data(vertex)) == asdict(b.vertex_data(vertex))
 
 
 class TestRoundTrip:

@@ -55,3 +55,21 @@ def test_importing_repro_does_not_load_scipy():
     """scipy is loaded by the first LP solve, not by ``import repro``."""
     code = "import sys, repro, repro.opt.lp; assert 'scipy' not in sys.modules, 'scipy loaded'"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_importing_repro_does_not_load_the_runtime():
+    """The runtime and analysis names load on first use, not on ``import repro``."""
+    code = (
+        "import sys, repro\n"
+        "heavy = ['asyncio', 'sqlite3', 'multiprocessing', 'concurrent.futures',\n"
+        "         'repro.runtime', 'repro.obs', 'repro.analysis']\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from repro import ComponentCache, summary_text\n"
+        "import repro.runtime, repro.analysis\n"
+        "assert ComponentCache is repro.runtime.ComponentCache\n"
+        "assert summary_text is repro.analysis.summary_text\n"
+        "assert all(hasattr(repro, name) for name in repro.__all__)\n"
+        "assert set(repro.__all__) <= set(dir(repro))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

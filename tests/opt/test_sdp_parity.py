@@ -1,12 +1,16 @@
-"""Parity oracle: the vectorised SDP loop against the original ``np.add.at`` loop.
+"""Parity oracle: the SDP relaxation loops against the original ``np.add.at`` loop.
 
-``VectorProgramSolver._minimise`` builds its gradient with one flattened
-``np.bincount`` scatter and inlines the norms.  ``ReferenceSolver`` below keeps
-the original ``solve`` and ``_minimise`` verbatim (six ``np.add.at`` calls, one
-``zeros_like`` and two ``np.linalg.norm`` calls per iteration, and a final
-``_max_violation`` recomputation).  Every float of the result must match
-exactly, not approximately: duplicate edges and hub vertices make many terms
-land on the same cell, which pins the accumulation order.
+``VectorProgramSolver._minimise`` runs the relaxation loop in the compiled
+solve core or in numpy (one flattened ``np.bincount`` scatter, inlined
+norms).  ``ReferenceSolver`` below keeps the original ``solve`` and
+``_minimise`` verbatim (six ``np.add.at`` calls, one ``zeros_like`` and two
+``np.linalg.norm`` calls per iteration, and a final ``_max_violation``
+recomputation).  Every float of the result must match exactly, not
+approximately: duplicate edges and hub vertices make many terms land on the
+same cell, which pins the accumulation order.  Every test runs under both
+loops (kernel modes ``python`` and ``compiled``); ``REPRO_SOLVE_KERNELS=python``
+skips the compiled one, and ``REPRO_SOLVE_KERNELS=compiled`` fails instead of
+skipping when the core is unavailable.
 """
 
 import itertools
@@ -14,8 +18,27 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.errors import SolverError
+from repro.core.kernels import KERNEL_MODE_ENV, kernel_mode, set_kernel_mode
+from repro.core.kernels.ccore import CompiledCore, compiled_core
+from repro.errors import ConfigurationError, SolverError
 from repro.opt.sdp import SdpOptions, SdpResult, VectorProgramSolver
+
+
+@pytest.fixture(autouse=True, params=["python", "compiled"])
+def relaxation_loop(request):
+    """Run the test under the numpy loop and under the compiled loop."""
+    env_mode = kernel_mode()
+    if request.param == "compiled":
+        if env_mode in ("python", "off"):
+            pytest.skip(f"{KERNEL_MODE_ENV}={env_mode} forbids the compiled core")
+        if env_mode != "compiled" and compiled_core() is None:
+            pytest.skip("compiled solve core unavailable")
+    previous = set_kernel_mode(request.param)
+    yield request.param
+    set_kernel_mode(previous)
+
+
+compiled_only = pytest.mark.parametrize("relaxation_loop", ["compiled"], indirect=True)
 
 
 class ReferenceSolver(VectorProgramSolver):
@@ -223,3 +246,110 @@ def test_outer_loop_exhausted():
     options = SdpOptions(max_outer_iterations=2, max_inner_iterations=15)
     result = assert_identical(3, 6, edges, [], options=options)
     assert result.constraint_violation > 1e-3
+
+
+@pytest.mark.parametrize("dimension", [8, 9, 17])
+def test_wide_dimensions(dimension):
+    """Eight columns and more reach the row dots' 8-wide block and its tail."""
+    conflict, stitch = random_problem(31, 16, 0.4, 0.2)
+    assert_identical(4, 16, conflict, stitch, options=SdpOptions(dimension=dimension))
+
+
+def test_more_than_128_edges():
+    """Over 128 conflict and stitch edges, the sums split recursively."""
+    conflict, stitch = random_problem(32, 40, 0.3, 0.22)
+    assert len(conflict) > 128 and len(stitch) > 128
+    assert_identical(4, 40, conflict, stitch)
+
+
+def test_zero_gradient_tolerance():
+    conflict, stitch = random_problem(33, 15, 0.4, 0.2)
+    options = SdpOptions(gradient_tolerance=0.0, max_inner_iterations=150)
+    assert_identical(4, 15, conflict, stitch, options=options)
+
+
+def reference_gradient_norms(num_colors, num_vertices, conflict, stitch):
+    """Every ``grad_norm`` the reference loop computes, in order."""
+    norms = []
+    original = np.linalg.norm
+
+    def recording(x, *args, **kwargs):
+        value = original(x, *args, **kwargs)
+        if not args and not kwargs:  # the loop's flattened tangent norm
+            norms.append(float(value / num_vertices))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "norm", recording)
+        ReferenceSolver(num_colors).solve(num_vertices, conflict, stitch)
+    return norms
+
+
+def spy_on_compiled_loop(monkeypatch):
+    """Record the ``undecided`` flag of every compiled-loop call."""
+    handed_back = []
+    original = CompiledCore.sdp_minimise
+
+    def spy(self, *args, **kwargs):
+        iterations, undecided = original(self, *args, **kwargs)
+        handed_back.append(undecided)
+        return iterations, undecided
+
+    monkeypatch.setattr(CompiledCore, "sdp_minimise", spy)
+    return handed_back
+
+
+@compiled_only
+@pytest.mark.parametrize("stops", [False, True])
+def test_undecided_gradient_norm_is_handed_back(monkeypatch, stops):
+    """A tolerance equal to a norm the loop reaches forces the numpy test.
+
+    ``tolerance == grad_norm`` must not stop; one ulp above must stop.  Both
+    sit inside the C loop's error margin, so numpy decides, and the run
+    still matches the reference bit for bit.
+    """
+    conflict, stitch = random_problem(34, 20, 0.3, 0.15)
+    norm = min(reference_gradient_norms(4, 20, conflict, stitch))
+    tolerance = np.nextafter(norm, np.inf) if stops else norm
+    handed_back = spy_on_compiled_loop(monkeypatch)
+    options = SdpOptions(gradient_tolerance=float(tolerance))
+    assert_identical(4, 20, conflict, stitch, options=options)
+    assert True in handed_back
+
+
+@compiled_only
+def test_probe_mismatch_falls_back_or_raises(monkeypatch):
+    """A core whose sums differ from numpy's never runs the SDP loop."""
+    monkeypatch.setattr(compiled_core(), "_sdp_parity", False)
+    handed_back = spy_on_compiled_loop(monkeypatch)
+    conflict, stitch = random_problem(35, 12, 0.4, 0.2)
+    set_kernel_mode("auto")
+    assert_identical(4, 12, conflict, stitch)
+    assert handed_back == []
+    set_kernel_mode("compiled")
+    with pytest.raises(ConfigurationError, match="summation order"):
+        VectorProgramSolver(4).solve(12, conflict, stitch)
+
+
+@compiled_only
+def test_probe_detects_a_different_summation_order(monkeypatch):
+    """The load-time probe compares against numpy, so a numpy build that sums
+    rows in another order is caught."""
+    import repro.core.kernels.ccore as ccore
+
+    core = compiled_core()
+    assert core._probe_sdp_sums()
+
+    class SequentialNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def einsum(subscripts, a, b):
+            out = np.zeros(len(a))
+            for j in range(a.shape[1]):
+                out += a[:, j] * b[:, j]
+            return out
+
+    monkeypatch.setattr(ccore, "np", SequentialNumpy())
+    assert not core._probe_sdp_sums()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.bench import TABLE1_CIRCUITS, circuit_graph
@@ -40,7 +42,7 @@ def _assert_graphs_equal(a: DecompositionGraph, b: DecompositionGraph) -> None:
     assert a.stitch_edges() == b.stitch_edges()
     assert a.friend_edges() == b.friend_edges()
     for vertex in a.vertices():
-        assert vars(a.vertex_data(vertex)) == vars(b.vertex_data(vertex))
+        assert asdict(a.vertex_data(vertex)) == asdict(b.vertex_data(vertex))
 
 
 def _roundtrip_equivalence(subgraphs) -> None:
@@ -172,7 +174,7 @@ class TestWireValueBounds:
         }
         graph = graph_from_wire(payload)
         rebuilt = DecompositionGraph.from_arrays(graph.to_arrays())
-        assert vars(rebuilt.vertex_data(0)) == vars(graph.vertex_data(0))
+        assert asdict(rebuilt.vertex_data(0)) == asdict(graph.vertex_data(0))
         assert rebuilt.conflict_edges() == [(0, 5)]
 
 
