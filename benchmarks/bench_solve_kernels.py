@@ -1,16 +1,16 @@
 """Benchmark: per-component solve speed of the flat-array kernels.
 
-The solve-kernels PR moved the three per-component solvers onto the packed
+The three per-component solvers run in the compiled C core over the packed
 :class:`~repro.graph.flat.FlatGraph` arrays (CSR adjacency, flat cost
-counters, optional compiled C core).  This harness measures each solver on
-the Table 1 circuits against the dict-walking reference implementations and
-records the speedups:
+counters).  This harness measures each solver on the Table 1 circuits
+against the dict-walking reference implementations and records the
+speedups; it needs the compiled core and exits with an error without it:
 
 * **greedy**    — ``GreedyColoring`` over every component: reference vs the
-  packed-array python kernel vs the compiled walk;
+  compiled walk;
 * **linear**    — ``LinearColoring`` (peel / peer selection / refinement /
-  reinsertion) over every component, same three modes;
-* **backtrack** — ``search_merged_graph`` vs the packed kernel on the merged
+  reinsertion) over every component, same two modes;
+* **backtrack** — ``search_merged_graph`` vs the compiled kernel on the merged
   graphs of the small components (the exact search is exponential, so the
   leg is capped at ``BACKTRACK_MAX_NODES`` merged nodes — the cap and how
   many components it skipped are recorded in the artifact, never silent).
@@ -72,10 +72,6 @@ BACKTRACK_BENCH_LIMIT = 20_000
 ARTIFACT_PATH = Path(__file__).parent / "artifacts" / "solve_kernels.json"
 
 
-def _modes() -> List[str]:
-    return ["off", "python"] + (["compiled"] if compiled_core() is not None else [])
-
-
 def _time_sweep(func: Callable, items: List, repeats: int) -> float:
     """Best sweep time over all items, per item, in seconds.
 
@@ -94,27 +90,25 @@ def _time_sweep(func: Callable, items: List, repeats: int) -> float:
 def _solver_leg(
     algorithm_cls, components: List, repeats: int
 ) -> Dict[str, float]:
-    """Time one ColoringAlgorithm over the components in every mode."""
+    """Time one ColoringAlgorithm over the components in both modes."""
     reference: List[Dict[int, int]] = []
     set_kernel_mode("off")
     algorithm = algorithm_cls(NUM_COLORS, AlgorithmOptions())
     for component in components:
         reference.append(algorithm.color(component))
 
-    legs: Dict[str, float] = {}
-    for mode in _modes():
-        set_kernel_mode(mode)
-        for index, component in enumerate(components):
-            candidate = algorithm.color(component)
-            if candidate != reference[index] or list(candidate.items()) != list(
-                reference[index].items()
-            ):
-                raise AssertionError(
-                    f"{algorithm_cls.__name__} parity violation in mode "
-                    f"{mode!r} on component {index} "
-                    f"({component.num_vertices} vertices)"
-                )
-        legs[mode] = _time_sweep(algorithm.color, components, repeats)
+    legs = {"off": _time_sweep(algorithm.color, components, repeats)}
+    set_kernel_mode("compiled")
+    for index, component in enumerate(components):
+        candidate = algorithm.color(component)
+        if candidate != reference[index] or list(candidate.items()) != list(
+            reference[index].items()
+        ):
+            raise AssertionError(
+                f"{algorithm_cls.__name__} parity violation on component "
+                f"{index} ({component.num_vertices} vertices)"
+            )
+    legs["compiled"] = _time_sweep(algorithm.color, components, repeats)
     set_kernel_mode(None)
     return legs
 
@@ -144,41 +138,34 @@ def _backtrack_leg(components: List, repeats: int) -> tuple:
             repeats,
         )
     }
-    for mode in _modes():
-        if mode == "off":
-            continue
-        set_kernel_mode(mode)
-        for index, merged in enumerate(merged_graphs):
-            candidate = backtrack_search(
-                merged, NUM_COLORS, ALPHA, expansion_limit=limit
+    set_kernel_mode("compiled")
+    for index, merged in enumerate(merged_graphs):
+        candidate = backtrack_search(merged, NUM_COLORS, ALPHA, expansion_limit=limit)
+        if candidate != reference[index] or list(candidate.items()) != list(
+            reference[index].items()
+        ):
+            raise AssertionError(
+                f"backtrack parity violation on merged graph {index} "
+                f"({merged.num_nodes} nodes)"
             )
-            if candidate != reference[index] or list(candidate.items()) != list(
-                reference[index].items()
-            ):
-                raise AssertionError(
-                    f"backtrack parity violation in mode {mode!r} on merged "
-                    f"graph {index} ({merged.num_nodes} nodes)"
-                )
-        legs[mode] = _time_sweep(
-            lambda merged: backtrack_search(
-                merged, NUM_COLORS, ALPHA, expansion_limit=limit
-            ),
-            merged_graphs,
-            repeats,
-        )
+    legs["compiled"] = _time_sweep(
+        lambda merged: backtrack_search(
+            merged, NUM_COLORS, ALPHA, expansion_limit=limit
+        ),
+        merged_graphs,
+        repeats,
+    )
     set_kernel_mode(None)
     return legs, skipped, len(merged_graphs)
 
 
-def _speedups(legs: Dict[str, float]) -> Dict[str, float]:
-    return {
-        f"{mode}_vs_reference": round(legs["off"] / legs[mode], 2)
-        for mode in legs
-        if mode != "off"
-    }
+def _speedup(legs: Dict[str, float]) -> float:
+    return round(legs["off"] / legs["compiled"], 2)
 
 
 def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
+    if compiled_core() is None:
+        raise SystemExit("bench_solve_kernels: the compiled solve core is unavailable")
     circuits = QUICK_CIRCUITS if quick else FULL_CIRCUITS
     repeats = 3 if quick else 7
     rows = []
@@ -201,43 +188,41 @@ def record_artifact(quick: bool = False, path: Path = ARTIFACT_PATH) -> dict:
                     m: round(s * 1e6, 3) for m, s in backtrack_legs.items()
                 },
             },
-            "speedups": {
-                "greedy": _speedups(greedy_legs),
-                "linear": _speedups(linear_legs),
-                "backtrack": _speedups(backtrack_legs) if backtrack_legs else {},
+            "compiled_speedup": {
+                "greedy": _speedup(greedy_legs),
+                "linear": _speedup(linear_legs),
+                "backtrack": _speedup(backtrack_legs) if backtrack_legs else None,
             },
             "backtrack_components_timed": timed,
             "backtrack_components_skipped_over_cap": skipped,
         }
         rows.append(row)
-    best_mode = "compiled" if compiled_core() is not None else "python"
     payload = {
         "benchmark": "solve_kernels",
         "num_colors": NUM_COLORS,
         "alpha": ALPHA,
         "quick": quick,
         "repeats": repeats,
-        "compiled_core_available": compiled_core() is not None,
         "backtrack_max_nodes": BACKTRACK_MAX_NODES,
         "backtrack_expansion_limit": BACKTRACK_BENCH_LIMIT,
         "note": (
             "per-component microseconds, best-of over repeated full-circuit "
             "sweeps; every timed kernel call is parity-checked against the "
-            "reference coloring first.  'off' is the dict-walking reference; "
+            "reference coloring first.  'off' is the dict-walking reference, "
+            "'compiled' the C core; "
             "the backtrack leg runs only on components whose merged graph "
             "has <= backtrack_max_nodes nodes (skips are counted per row) "
             "and under backtrack_expansion_limit expansions per search."
         ),
         "circuits": rows,
-        "min_best_mode_speedup": {
+        "min_compiled_speedup": {
             solver: min(
-                row["speedups"][solver].get(f"{best_mode}_vs_reference", 0.0)
+                row["compiled_speedup"][solver]
                 for row in rows
-                if row["speedups"][solver]
+                if row["compiled_speedup"][solver] is not None
             )
             for solver in ("greedy", "linear", "backtrack")
         },
-        "best_mode": best_mode,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -259,12 +244,11 @@ def main(argv: List[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     payload = record_artifact(quick=args.quick, path=args.artifact)
-    best = payload["best_mode"]
     for row in payload["circuits"]:
-        speedups = row["speedups"]
+        speedups = row["compiled_speedup"]
 
         def best_of(solver: str) -> str:
-            leg = speedups[solver].get(f"{best}_vs_reference")
+            leg = speedups[solver]
             return f"{leg:6.2f}x" if leg else "   n/a"
 
         print(
@@ -274,7 +258,7 @@ def main(argv: List[str] | None = None) -> int:
             f"({row['backtrack_components_timed']} timed, "
             f"{row['backtrack_components_skipped_over_cap']} over cap)"
         )
-    print(f"minimum {best}-mode speedup per solver: {payload['min_best_mode_speedup']}")
+    print(f"minimum compiled speedup per solver: {payload['min_compiled_speedup']}")
     print(f"artifact written to {args.artifact}")
     return 0
 

@@ -197,15 +197,14 @@ def run_backtrack_search(
     """Solve ``merged`` with the fastest available backtracking implementation.
 
     Dispatches through :func:`repro.core.kernels.select_kernel` to the
-    packed-array kernel (compiled core or pure-Python fallback) when kernels
-    are enabled, and to the reference :func:`search_merged_graph` otherwise.
-    Every implementation is bit-identical — same coloring, same tie-breaks,
-    same expansion count and statistics — so call sites never observe which
-    one ran.
+    packed-array kernel when the compiled core is loaded, and to the
+    reference :func:`search_merged_graph` otherwise.  Both are
+    bit-identical — same coloring, same tie-breaks, same expansion count and
+    statistics — so call sites never observe which one ran.
     """
     from repro.core.kernels import select_kernel
 
-    kernel = select_kernel("backtrack")
+    kernel = select_kernel("backtrack", num_colors)
     if kernel is not None:
         return kernel.backtrack_search(
             merged,

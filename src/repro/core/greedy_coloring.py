@@ -120,7 +120,7 @@ class GreedyColoring(ColoringAlgorithm):
         """Color ``graph`` greedily in decreasing conflict-degree order."""
         from repro.core.kernels import select_kernel
 
-        kernel = select_kernel("greedy")
+        kernel = select_kernel("greedy", self.num_colors)
         if kernel is not None:
             return kernel.greedy_color(graph, self.num_colors, self.options.alpha)
         return greedy_color_graph(graph, self.num_colors, self.options.alpha)

@@ -1,37 +1,37 @@
-"""Vectorized solve kernels over the flat-array graph form.
+"""Compiled solve kernels over the flat-array graph form.
 
 The per-component solvers in :mod:`repro.core` are the reference
 implementations: dict-walking pure Python, written for clarity and pinned by
-the golden tables.  The kernels in this package consume the packed
+the golden tables.  The kernels in this package pack the
 :class:`repro.graph.flat.FlatGraph` arrays (CSR adjacency, flat earlier-edge
-arrays, color bitmasks) and — for the hot backtracking/greedy inner loops —
-an optional compiled C core, while producing **bit-identical output**: same
-colorings, same tie-breaks, same search statistics.  Parity is the hard
-acceptance gate (``tests/kernels/``), which is why the kernels replicate the
+arrays) and run the greedy, linear and backtracking inner loops in the
+compiled C core (``_solvecore.c``), while producing **bit-identical output**:
+same colorings, same tie-breaks, same search statistics.  Parity is the hard
+acceptance gate (``tests/kernels/``), which is why the C loops replicate the
 reference float expression order operation for operation.
 
-The SDP relaxation loop (``repro.opt.sdp.VectorProgramSolver._minimise``)
-is dispatched by the same modes through :func:`sdp_core`: the compiled core
-runs it in ``auto``/``compiled``, the numpy loop (the reference) in
-``python``/``off``.  Both produce the same floats.
+There are two paths: the compiled core, and the reference solvers (plus the
+numpy SDP loop) as the plain fallback.  The SDP relaxation loop
+(``repro.opt.sdp.VectorProgramSolver._minimise``) is dispatched by the same
+modes through :func:`sdp_core`: the compiled core runs it in
+``auto``/``compiled``, the numpy loop (the reference) in ``off``.  Both
+produce the same floats.
 
 Dispatch is controlled by the ``REPRO_SOLVE_KERNELS`` environment variable
 (checked once per solve, overridable in-process via :func:`set_kernel_mode`):
 
 ``auto`` (default)
-    Use the kernels; use the compiled core when it is available (building it
-    on first use), the pure-Python packed-array fallback otherwise.
+    Use the compiled core when it is available (building it on first use),
+    the reference solvers otherwise.
 ``compiled``
-    Use the kernels and *require* the compiled core — raise instead of
-    silently falling back (CI uses this to keep the compiled path honest).
-``python``
-    Use the kernels with the pure-Python core only (never build/load C).
+    *Require* the compiled core — raise instead of silently falling back
+    (CI uses this to keep the compiled path honest).
 ``off``
-    Bypass the kernels entirely and run the reference solvers.
+    Never load the compiled core; run the reference solvers.
 
 The mode deliberately lives outside :class:`repro.core.options.AlgorithmOptions`:
 options are fingerprinted into cache keys, and because every mode produces
-identical output, keys must not (and do not) depend on which kernel ran.
+identical output, keys must not (and do not) depend on which path ran.
 """
 
 from __future__ import annotations
@@ -44,14 +44,18 @@ from repro.errors import ConfigurationError
 #: Environment variable selecting the kernel mode.
 KERNEL_MODE_ENV = "REPRO_SOLVE_KERNELS"
 
-_VALID_MODES = ("auto", "compiled", "python", "off")
+_VALID_MODES = ("auto", "compiled", "off")
+
+#: The C loops keep per-color counters and bitmasks with this bound (mirrors
+#: ``MAX_COLORS`` in ``_solvecore.c``); more colors run the reference solvers.
+MAX_COMPILED_COLORS = 64
 
 #: In-process override (tests, benchmarks); ``None`` defers to the env var.
 _forced_mode: Optional[str] = None
 
 
 def kernel_mode() -> str:
-    """Return the active kernel mode (``auto``/``compiled``/``python``/``off``)."""
+    """Return the active kernel mode (``auto``/``compiled``/``off``)."""
     if _forced_mode is not None:
         return _forced_mode
     raw = os.environ.get(KERNEL_MODE_ENV, "").strip().lower()
@@ -80,13 +84,15 @@ def set_kernel_mode(mode: Optional[str]) -> Optional[str]:
     return previous
 
 
-def select_kernel(algorithm: str):
+def select_kernel(algorithm: str, num_colors: int):
     """Return the kernel module for ``algorithm``, or ``None`` to use the reference.
 
-    ``algorithm`` is one of ``greedy``, ``linear``, ``backtrack``; anything
-    else (and mode ``off``) selects the reference solver.
+    ``algorithm`` is one of ``greedy``, ``linear``, ``backtrack``.  A kernel
+    is returned only when the compiled core is loaded (see
+    :func:`active_core`) and ``num_colors`` is within
+    :data:`MAX_COMPILED_COLORS`; anything else selects the reference solver.
     """
-    if kernel_mode() == "off":
+    if num_colors > MAX_COMPILED_COLORS or active_core() is None:
         return None
     if algorithm == "greedy":
         from repro.core.kernels import greedy_kernel
@@ -106,12 +112,12 @@ def select_kernel(algorithm: str):
 def active_core():
     """Return the loaded compiled core for the current mode, or ``None``.
 
-    ``off`` and ``python`` never load it; ``compiled`` raises
+    ``off`` never loads it; ``compiled`` raises
     :class:`~repro.errors.ConfigurationError` when it cannot be built or
     loaded (no silent fallback); ``auto`` returns it opportunistically.
     """
     mode = kernel_mode()
-    if mode in ("off", "python"):
+    if mode == "off":
         return None
     from repro.core.kernels.ccore import compiled_core
 
@@ -121,7 +127,7 @@ def active_core():
             f"{KERNEL_MODE_ENV}=compiled but the compiled solve core is "
             "unavailable (no C compiler, build disabled via "
             "REPRO_KERNELS_BUILD=0, or the build failed); use mode "
-            "'auto'/'python' to run the pure-Python kernels"
+            "'auto'/'off' to run the reference solvers"
         )
     return core
 
@@ -142,13 +148,14 @@ def sdp_core():
         raise ConfigurationError(
             f"{KERNEL_MODE_ENV}=compiled but the compiled SDP loop does not "
             "reproduce this numpy build's summation order; use mode "
-            "'auto'/'python' to run the numpy loop"
+            "'auto'/'off' to run the numpy loop"
         )
     return None
 
 
 __all__ = [
     "KERNEL_MODE_ENV",
+    "MAX_COMPILED_COLORS",
     "active_core",
     "kernel_mode",
     "sdp_core",

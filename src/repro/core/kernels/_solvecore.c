@@ -2,21 +2,21 @@
  *
  * Built on first use by ccore.py with
  *     cc -O2 -fPIC -shared -ffp-contract=off
- * and loaded through ctypes.  Every loop mirrors its pure-Python
- * counterpart operation for operation: the same double expressions in the
- * same order (no FMA contraction, no reassociation at -O2), the same
- * strict-< first-minimum tie-breaks, the same traversal order.  Python int
- * -> C double conversions are exact for the magnitudes involved, so the
- * compiled results are bit-identical to the interpreter's.
+ * and loaded through ctypes.  Every loop mirrors the reference
+ * implementation named above it operation for operation: the same double
+ * expressions in the same order (no FMA contraction, no reassociation at
+ * -O2), the same strict-< first-minimum tie-breaks, the same traversal
+ * order.  Python int -> C double conversions are exact for the magnitudes
+ * involved, so the compiled results are bit-identical to the interpreter's.
  */
 
 #include <float.h>
 #include <math.h>
 #include <stdlib.h>
 
-#define MAX_COLORS 64 /* mirrored by MAX_COMPILED_COLORS on the python side */
+#define MAX_COLORS 64 /* mirrored by repro.core.kernels.MAX_COMPILED_COLORS */
 
-/* Greedy coloring walk (greedy_kernel._python_walk).
+/* Greedy coloring walk (greedy_coloring.greedy_color_graph).
  *
  * colors[] must arrive initialised to -1; order[] is the processing order
  * over vertex ranks; CSR rows are sorted ascending.
@@ -63,7 +63,7 @@ void repro_greedy_walk(
     }
 }
 
-/* Linear-kernel greedy walk (linear_kernel._color_in_order).
+/* Linear-kernel greedy walk (LinearColoring._color_in_order).
  *
  * Same hit counters as the greedy walk plus the color-friendly counter;
  * the color pick replicates the python tuple comparison
@@ -130,7 +130,7 @@ void repro_linear_walk(
     }
 }
 
-/* Kernel-subgraph score (linear_kernel._evaluate): conflict/stitch counts
+/* Kernel-subgraph score (evaluation.evaluate): conflict/stitch counts
  * over the flat uint32 edge-pair arrays, uncolored (-1) endpoints skipped. */
 void repro_evaluate(
     const unsigned int *conf_edges, int conf_len,
@@ -154,7 +154,7 @@ void repro_evaluate(
     *stitches_out = stitches;
 }
 
-/* Local recolor cost (linear_kernel._local_cost). */
+/* Local recolor cost (refinement.local_color_cost). */
 static double local_cost(
     int rank, int color, double alpha, const int *colors,
     const int *conf_start, const int *conf_adj,
@@ -174,7 +174,7 @@ static double local_cost(
     return conflicts + alpha * (double)stitches;
 }
 
-/* One greedy improvement pass (linear_kernel._refine),
+/* One greedy improvement pass (refinement.refine_coloring),
  * including the reference's `cost < best_cost - 1e-12` epsilon. */
 void repro_refine_pass(
     int num_colors, double alpha,
@@ -206,7 +206,7 @@ void repro_refine_pass(
     }
 }
 
-/* Pop the peel stack (linear_kernel._legal_color loop): stack entries are
+/* Pop the peel stack (simplify.legal_color loop): stack entries are
  * visited last-pushed-first; each takes a stitch-preferred legal color. */
 void repro_reinsert(
     int num_colors,
@@ -258,13 +258,13 @@ void repro_reinsert(
     }
 }
 
-/* Iterative low-degree vertex removal (linear_kernel._peel).
+/* Iterative low-degree vertex removal (simplify.peel_low_degree_vertices).
  *
  * Fills alive/cdeg/sdeg/fdeg and the removal stack; returns the stack
- * length, or -1 on allocation failure (the caller falls back to python).
+ * length, or -1 on allocation failure (the caller raises MemoryError).
  * The queue is LIFO with a pending guard, so it never exceeds n entries —
  * the exact traversal (including the sorted merged neighbour re-enqueue
- * order) matches the python loop.
+ * order) matches the reference loop.
  */
 int repro_peel(
     int n, int num_colors, int max_stitch_degree,
@@ -368,7 +368,7 @@ int repro_peel(
     return stack_len;
 }
 
-/* Branch-and-bound DFS (backtrack_kernel._python_search).
+/* Branch-and-bound DFS (backtrack.search_merged_graph).
  *
  * Position-space packed earlier-edge CSR; best_cost_io carries the incumbent
  * cost in and the best cost out; best_pos carries the incumbent assignment
@@ -396,7 +396,7 @@ long long repro_backtrack_search(
     if (assignment == NULL || stack == NULL) {
         free(assignment);
         free(stack);
-        *completed_out = -1; /* signals the caller to fall back */
+        *completed_out = -1; /* the caller raises MemoryError */
         return -1;
     }
     for (int p = 0; p < n; p++)

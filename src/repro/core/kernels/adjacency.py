@@ -9,9 +9,8 @@ that are already sorted ascending — rank order equals vertex-id order under
 the order-preserving relabeling, which is exactly the ``sorted(...)`` the
 reference solvers apply per vertex.
 
-numpy, when available, vectorises the degree count and prefix sum for larger
-components; the pure-``array`` path produces byte-identical buffers, so the
-kernels never behave differently with or without it.
+numpy vectorises the degree count and prefix sum for larger components; the
+pure-``array`` path used for small ones produces byte-identical buffers.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from __future__ import annotations
 from array import array
 from typing import List, Tuple
 
-try:  # numpy is optional — the kernels are stdlib-complete without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 #: Below this edge count the python loop beats numpy's per-call overhead.
 _NUMPY_MIN_EDGES = 256
@@ -58,15 +54,6 @@ class CSRAdjacency:
             self.friend_start = array("i", bytes(4 * (n + 1)))
             self.friend_adj = array("i")
 
-    def conflict_degree(self, rank: int) -> int:
-        return self.conflict_start[rank + 1] - self.conflict_start[rank]
-
-    def stitch_degree(self, rank: int) -> int:
-        return self.stitch_start[rank + 1] - self.stitch_start[rank]
-
-    def friend_degree(self, rank: int) -> int:
-        return self.friend_start[rank + 1] - self.friend_start[rank]
-
 
 def degree_order(start: array, n: int) -> List[int]:
     """Ranks sorted by (-degree, rank) for one CSR ``start`` array.
@@ -75,7 +62,7 @@ def degree_order(start: array, n: int) -> List[int]:
     the numpy path is a stable argsort on the negated degrees, which keeps
     ascending-rank order within equal degrees.
     """
-    if _np is not None and n >= 128:
+    if n >= 128:
         starts = _np.frombuffer(start, dtype=_np.int32)
         degrees = starts[1:] - starts[:-1]
         return _np.argsort(-degrees, kind="stable").tolist()
@@ -84,7 +71,7 @@ def degree_order(start: array, n: int) -> List[int]:
 
 def _build_csr(n: int, edges: array) -> Tuple[array, array]:
     """Build ``(start, adj)`` int32 CSR arrays from a flat rank-pair array."""
-    if _np is not None and len(edges) >= _NUMPY_MIN_EDGES:
+    if len(edges) >= _NUMPY_MIN_EDGES:
         return _build_csr_numpy(n, edges)
     degree = [0] * n
     for rank in edges:

@@ -4,8 +4,9 @@ No build system, no new dependencies: on first use the C source shipped
 inside this package is compiled with the system C compiler into a per-user
 cache directory and loaded with :mod:`ctypes`.  Missing compiler, disabled
 builds (``REPRO_KERNELS_BUILD=0``) or a failed build all degrade to ``None``
-— the kernels then run their pure-Python cores (unless the mode is
-``compiled``, where :func:`repro.core.kernels.active_core` raises instead).
+— the callers then run the reference solvers and the numpy SDP loop (unless
+the mode is ``compiled``, where :func:`repro.core.kernels.active_core` raises
+instead).
 
 The flags matter for bit-exactness: ``-ffp-contract=off`` forbids fused
 multiply-adds, so every double operation the C loops perform rounds exactly
@@ -294,11 +295,14 @@ class CompiledCore:
             self._buf(colors),
         )
 
-    def peel(self, num_colors: int, max_stitch_degree: int, csr):
-        """Run the C peel; ``None`` when the core could not allocate.
+    def peel(
+        self, num_colors: int, max_stitch_degree: int, csr
+    ) -> Tuple[array, array, array, array, array]:
+        """Run the C peel (``simplify.peel_low_degree_vertices``).
 
         Returns ``(alive, cdeg, sdeg, fdeg, stack)`` with the stack already
-        trimmed to the removed vertices (LIFO order, like the python peel).
+        trimmed to the removed vertices, in removal order.  Raises
+        :class:`MemoryError` when the core cannot allocate its work buffers.
         """
         n = csr.num_vertices
         alive = array("b", bytes(n))
@@ -322,8 +326,8 @@ class CompiledCore:
             self._buf(fdeg),
             self._buf(stack),
         )
-        if stack_len < 0:  # allocation failure inside the core
-            return None
+        if stack_len < 0:
+            raise MemoryError("compiled peel could not allocate its work buffers")
         return alive, cdeg, sdeg, fdeg, stack[:stack_len]
 
     def backtrack_search(
@@ -338,8 +342,12 @@ class CompiledCore:
         edge_sw: array,
         best_cost: float,
         best_pos: array,
-    ) -> Optional[Tuple[int, bool, float]]:
-        """Run the C search; ``None`` when the core could not allocate."""
+    ) -> Tuple[int, bool, float]:
+        """Run the C search; return ``(expansions, completed, best_cost)``.
+
+        Raises :class:`MemoryError` when the core cannot allocate its DFS
+        buffers.
+        """
         cost_io = ctypes.c_double(best_cost)
         completed = ctypes.c_int(0)
         expansions = self._lib.repro_backtrack_search(
@@ -358,8 +366,8 @@ class CompiledCore:
             self._buf(best_pos),
             ctypes.byref(completed),
         )
-        if expansions < 0:  # allocation failure inside the core
-            return None
+        if expansions < 0:
+            raise MemoryError("compiled search could not allocate its DFS buffers")
         return expansions, bool(completed.value), cost_io.value
 
     def sdp_minimise(

@@ -8,9 +8,8 @@ per-color integer hit counters, and the reference cost expression
 strict ``<`` scan over ascending colors — the exact first-minimum tie-break
 of ``min(range(K), key=...)``.
 
-The compiled core runs the same walk in C over the same arrays; the float
-expression order is preserved operation for operation, so both paths (and
-the reference) agree on every coloring.
+This module packs the arrays; the walk itself runs in the compiled core,
+which preserves the float expression order operation for operation.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from typing import Dict
 
 from repro.core.kernels import active_core
 from repro.core.kernels.adjacency import CSRAdjacency, degree_order
-
-#: The C walk allocates per-color counters on the stack with this bound.
-MAX_COMPILED_COLORS = 64
 
 
 def greedy_color(graph, num_colors: int, alpha: float) -> Dict[int, int]:
@@ -37,56 +33,18 @@ def greedy_color(graph, num_colors: int, alpha: float) -> Dict[int, int]:
     for rank in range(n):
         colors[rank] = -1
 
-    core = active_core() if num_colors <= MAX_COMPILED_COLORS else None
-    if core is not None:
-        core.greedy_walk(
-            n,
-            num_colors,
-            alpha,
-            array("i", order),
-            csr.conflict_start,
-            csr.conflict_adj,
-            csr.stitch_start,
-            csr.stitch_adj,
-            colors,
-        )
-    else:
-        _python_walk(csr, order, num_colors, alpha, colors)
+    active_core().greedy_walk(
+        n,
+        num_colors,
+        alpha,
+        array("i", order),
+        csr.conflict_start,
+        csr.conflict_adj,
+        csr.stitch_start,
+        csr.stitch_adj,
+        colors,
+    )
 
     # Emit in processing order — the reference builds its dict the same way.
     ids = flat.vertex_ids
     return {ids[rank]: colors[rank] for rank in order}
-
-
-def _python_walk(
-    csr: CSRAdjacency, order, num_colors: int, alpha: float, colors: array
-) -> None:
-    """Pure-python packed walk (fallback when the C core is unavailable)."""
-    conflict_start = csr.conflict_start
-    conflict_adj = csr.conflict_adj
-    stitch_start = csr.stitch_start
-    stitch_adj = csr.stitch_adj
-    conflict_hits = [0] * num_colors
-    stitch_hits = [0] * num_colors
-    for rank in order:
-        for c in range(num_colors):
-            conflict_hits[c] = 0
-            stitch_hits[c] = 0
-        for i in range(conflict_start[rank], conflict_start[rank + 1]):
-            other = colors[conflict_adj[i]]
-            if other >= 0:
-                conflict_hits[other] += 1
-        colored_stitches = 0
-        for i in range(stitch_start[rank], stitch_start[rank + 1]):
-            other = colors[stitch_adj[i]]
-            if other >= 0:
-                stitch_hits[other] += 1
-                colored_stitches += 1
-        best = 0
-        best_cost = conflict_hits[0] + alpha * (colored_stitches - stitch_hits[0])
-        for c in range(1, num_colors):
-            cost = conflict_hits[c] + alpha * (colored_stitches - stitch_hits[c])
-            if cost < best_cost:
-                best_cost = cost
-                best = c
-        colors[rank] = best

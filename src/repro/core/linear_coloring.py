@@ -45,7 +45,7 @@ class LinearColoring(ColoringAlgorithm):
 
         from repro.core.kernels import select_kernel
 
-        kernel_module = select_kernel("linear")
+        kernel_module = select_kernel("linear", self.num_colors)
         if kernel_module is not None:
             return kernel_module.linear_color(graph, self.num_colors, self.options)
 

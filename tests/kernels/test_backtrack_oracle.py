@@ -2,7 +2,7 @@
 
 The backtrack solver claims exactness within its expansion budget.  These
 tests enumerate *every* coloring of small random merged graphs and assert
-the search (reference and both kernel modes) lands on the optimal weighted
+the search (reference and compiled kernel) lands on the optimal weighted
 cost — the strongest check a bounded search can pass, and one that the
 pruning (symmetry breaking, incumbent bound, cost cut) cannot fake.
 """
@@ -23,7 +23,7 @@ from repro.graph.simplify import MergedGraph, build_merged_graph
 
 COMPILED_AVAILABLE = compiled_core() is not None
 
-MODES = ["python"] + (["compiled"] if COMPILED_AVAILABLE else [])
+MODES = ["compiled"] if COMPILED_AVAILABLE else []
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +63,7 @@ def random_merged(rng: random.Random, n: int) -> MergedGraph:
 
 
 def _solvers():
-    """(name, solver) pairs: the reference plus each kernel mode."""
+    """(name, solver) pairs: the reference plus the compiled kernel, if built."""
     yield "reference", search_merged_graph
 
     def kernel_solver(mode):

@@ -1,11 +1,12 @@
 """Bit-identical parity between the solve kernels and the reference solvers.
 
 The kernels (``repro.core.kernels``) are pure speed: same colors, same dict
-insertion order, same statistics, on every input, in every mode.  These
-tests sweep randomized graphs through all three kernels against the
-reference implementations, check the dispatch plumbing (env modes, the
-in-process override, the compiled-core contract), and — in the slow tier —
-sweep every component of all fifteen Table 1 circuits.
+insertion order, same statistics, on every input.  These tests sweep
+randomized graphs through all three compiled kernels against the reference
+implementations, run the same sweeps through the no-compiler ``auto`` path
+(where dispatch must land on the reference solvers), check the dispatch plumbing (env modes, the in-process
+override, the compiled-core contract, the color cap), and — in the slow
+tier — sweep every component of all fifteen Table 1 circuits.
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ import random
 
 import pytest
 
-from repro.core.backtrack import BacktrackStatistics, search_merged_graph
+from repro.core.backtrack import (
+    BacktrackStatistics,
+    run_backtrack_search,
+    search_merged_graph,
+)
 from repro.core.greedy_coloring import GreedyColoring
 from repro.core.kernels import (
     KERNEL_MODE_ENV,
+    MAX_COMPILED_COLORS,
     active_core,
     kernel_mode,
     select_kernel,
@@ -37,7 +43,11 @@ needs_compiled = pytest.mark.skipif(
     not COMPILED_AVAILABLE, reason="compiled solve core unavailable"
 )
 
-MODES = ["python"] + (["compiled"] if COMPILED_AVAILABLE else [])
+#: ``auto`` with the build disabled and an empty cache: the path every user
+#: without a C compiler runs (dispatch must select the reference solvers).
+NO_COMPILER = "no-compiler"
+
+MODES = [pytest.param("compiled", marks=needs_compiled), NO_COMPILER]
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +57,30 @@ def _restore_kernel_mode():
     set_kernel_mode(previous)
     yield
     set_kernel_mode(previous)
+
+
+@pytest.fixture
+def enter_mode(monkeypatch, tmp_path):
+    """Return a switch into one of :data:`MODES` for the candidate run.
+
+    ``no-compiler`` forgets the loaded core and disables its build, so the
+    dispatch sees exactly what a machine without a C compiler sees; the
+    memoised load is forgotten again afterwards so later tests reload it.
+    """
+    from repro.core.kernels import ccore
+
+    def enter(mode):
+        if mode == NO_COMPILER:
+            monkeypatch.setenv(ccore.BUILD_ENV, "0")
+            monkeypatch.setenv(ccore.CACHE_DIR_ENV, str(tmp_path))
+            ccore.reset()
+            set_kernel_mode("auto")
+            assert active_core() is None
+        else:
+            set_kernel_mode(mode)
+
+    yield enter
+    ccore.reset()
 
 
 def random_graph(rng: random.Random, n: int) -> DecompositionGraph:
@@ -97,7 +131,7 @@ def _assert_same_coloring(reference, candidate, context):
 class TestGreedyLinearParity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(10))
-    def test_randomized_graphs(self, mode, seed):
+    def test_randomized_graphs(self, enter_mode, mode, seed):
         rng = random.Random(seed)
         for trial in range(12):
             n = rng.randint(0, 14)
@@ -107,7 +141,7 @@ class TestGreedyLinearParity:
                 algorithm = algorithm_cls(num_colors, AlgorithmOptions())
                 set_kernel_mode("off")
                 reference = algorithm.color(graph)
-                set_kernel_mode(mode)
+                enter_mode(mode)
                 candidate = algorithm.color(graph)
                 _assert_same_coloring(
                     reference,
@@ -116,7 +150,7 @@ class TestGreedyLinearParity:
                 )
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_linear_option_toggles(self, mode):
+    def test_linear_option_toggles(self, enter_mode, mode):
         """Peer selection / color-friendly / refinement toggles all dispatch."""
         rng = random.Random(99)
         graph = random_graph(rng, 12)
@@ -131,7 +165,7 @@ class TestGreedyLinearParity:
                     algorithm = LinearColoring(4, options)
                     set_kernel_mode("off")
                     reference = algorithm.color(graph)
-                    set_kernel_mode(mode)
+                    enter_mode(mode)
                     candidate = algorithm.color(graph)
                     _assert_same_coloring(
                         reference, candidate, (mode, peer, friendly, refinement)
@@ -141,7 +175,7 @@ class TestGreedyLinearParity:
 class TestBacktrackParity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(8))
-    def test_randomized_merged_graphs(self, mode, seed):
+    def test_randomized_merged_graphs(self, enter_mode, mode, seed):
         rng = random.Random(seed)
         for trial in range(15):
             n = rng.randint(0, 12)
@@ -153,9 +187,9 @@ class TestBacktrackParity:
                 merged, num_colors, 0.1,
                 expansion_limit=limit, statistics=reference_stats,
             )
-            set_kernel_mode(mode)
+            enter_mode(mode)
             kernel_stats = BacktrackStatistics()
-            candidate = backtrack_search(
+            candidate = run_backtrack_search(
                 merged, num_colors, 0.1,
                 expansion_limit=limit, statistics=kernel_stats,
             )
@@ -168,15 +202,15 @@ class TestBacktrackParity:
             assert kernel_stats.best_cost == reference_stats.best_cost, context
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_initial_incumbent_respected(self, mode):
+    def test_initial_incumbent_respected(self, enter_mode, mode):
         rng = random.Random(5)
         merged = random_merged(rng, 10)
         initial = {node: node % 3 for node in range(merged.num_nodes)}
         reference = search_merged_graph(
             merged, 3, 0.1, expansion_limit=0, initial=initial
         )
-        set_kernel_mode(mode)
-        candidate = backtrack_search(
+        enter_mode(mode)
+        candidate = run_backtrack_search(
             merged, 3, 0.1, expansion_limit=0, initial=initial
         )
         _assert_same_coloring(reference, candidate, mode)
@@ -187,34 +221,39 @@ class TestDispatchPlumbing:
         set_kernel_mode(None)
         monkeypatch.delenv(KERNEL_MODE_ENV, raising=False)
         assert kernel_mode() == "auto"
-        monkeypatch.setenv(KERNEL_MODE_ENV, "python")
-        assert kernel_mode() == "python"
+        monkeypatch.setenv(KERNEL_MODE_ENV, "off")
+        assert kernel_mode() == "off"
         monkeypatch.setenv(KERNEL_MODE_ENV, "")
         assert kernel_mode() == "auto"
         monkeypatch.setenv(KERNEL_MODE_ENV, "fast")
         with pytest.raises(ConfigurationError):
             kernel_mode()
 
+    def test_python_mode_is_rejected(self, monkeypatch):
+        """``python`` is not a kernel mode; the error names the valid ones."""
+        set_kernel_mode(None)
+        monkeypatch.setenv(KERNEL_MODE_ENV, "python")
+        with pytest.raises(ConfigurationError, match="auto, compiled, off"):
+            kernel_mode()
+        with pytest.raises(ConfigurationError, match="auto, compiled, off"):
+            set_kernel_mode("python")
+
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_MODE_ENV, "off")
-        set_kernel_mode("python")
-        assert kernel_mode() == "python"
-        assert select_kernel("greedy") is not None
+        monkeypatch.setenv(KERNEL_MODE_ENV, "fast")
+        set_kernel_mode("off")
+        assert kernel_mode() == "off"
 
     def test_off_disables_dispatch(self):
         set_kernel_mode("off")
-        assert select_kernel("greedy") is None
-        assert select_kernel("linear") is None
-        assert select_kernel("backtrack") is None
+        assert select_kernel("greedy", 4) is None
+        assert select_kernel("linear", 4) is None
+        assert select_kernel("backtrack", 4) is None
         assert active_core() is None
 
+    @needs_compiled
     def test_unknown_algorithm_is_none(self):
-        set_kernel_mode("python")
-        assert select_kernel("sdp") is None
-
-    def test_python_mode_never_uses_core(self):
-        set_kernel_mode("python")
-        assert active_core() is None
+        set_kernel_mode("compiled")
+        assert select_kernel("sdp", 4) is None
 
     def test_compiled_mode_is_strict(self, monkeypatch, tmp_path):
         """``compiled`` must raise, not fall back, when no core can build.
@@ -236,6 +275,21 @@ class TestDispatchPlumbing:
         finally:
             ccore.reset()
 
+    def test_auto_without_core_runs_reference(self, monkeypatch, tmp_path):
+        """Without a compiler, ``auto`` selects no kernel, exactly like ``off``."""
+        from repro.core.kernels import ccore
+
+        monkeypatch.setenv(ccore.BUILD_ENV, "0")
+        monkeypatch.setenv(ccore.CACHE_DIR_ENV, str(tmp_path))
+        ccore.reset()
+        try:
+            set_kernel_mode("auto")
+            assert select_kernel("greedy", 4) is None
+            assert select_kernel("linear", 4) is None
+            assert select_kernel("backtrack", 4) is None
+        finally:
+            ccore.reset()
+
     def test_ambient_mode_is_exercised(self):
         """Under an ambient env mode (the CI legs), the dispatch must hold.
 
@@ -246,11 +300,12 @@ class TestDispatchPlumbing:
         mode = kernel_mode()
         if mode == "compiled":
             assert active_core() is not None
-        elif mode == "python":
-            assert active_core() is None
-            assert select_kernel("greedy") is not None
+            assert select_kernel("greedy", 4) is not None
         elif mode == "off":
-            assert select_kernel("greedy") is None
+            assert select_kernel("greedy", 4) is None
+        else:
+            core_loaded = active_core() is not None
+            assert (select_kernel("greedy", 4) is not None) == core_loaded
 
 
 class TestCompiledCore:
@@ -263,25 +318,64 @@ class TestCompiledCore:
         assert first is second is not None
 
     @needs_compiled
-    def test_color_cap_falls_back(self):
-        """K beyond the compiled color cap silently uses the python walk."""
-        from repro.core.kernels.greedy_kernel import MAX_COMPILED_COLORS
+    @pytest.mark.parametrize(
+        "algorithm_cls", [GreedyColoring, LinearColoring], ids=["greedy", "linear"]
+    )
+    def test_color_cap_falls_back(self, algorithm_cls):
+        """K beyond the compiled color cap runs the reference solver."""
+        set_kernel_mode("compiled")
+        name = algorithm_cls.name
+        assert select_kernel(name, MAX_COMPILED_COLORS) is not None
+        assert select_kernel(name, MAX_COMPILED_COLORS + 1) is None
 
         rng = random.Random(3)
         graph = random_graph(rng, 10)
-        algorithm = GreedyColoring(MAX_COMPILED_COLORS + 1, AlgorithmOptions())
+        algorithm = algorithm_cls(MAX_COMPILED_COLORS + 1, AlgorithmOptions())
         set_kernel_mode("off")
         reference = algorithm.color(graph)
         set_kernel_mode("compiled")
         candidate = algorithm.color(graph)
-        _assert_same_coloring(reference, candidate, "color-cap")
+        _assert_same_coloring(reference, candidate, ("color-cap", name))
+
+    @needs_compiled
+    def test_peel_allocation_failure_raises(self, monkeypatch):
+        from repro.core.kernels.adjacency import CSRAdjacency
+
+        core = compiled_core()
+        monkeypatch.setattr(core, "_lib", _FailingLib(core._lib, "repro_peel"))
+        csr = CSRAdjacency(random_graph(random.Random(4), 8).to_arrays())
+        with pytest.raises(MemoryError):
+            core.peel(4, 2, csr)
+
+    @needs_compiled
+    def test_search_allocation_failure_raises(self, monkeypatch):
+        core = compiled_core()
+        monkeypatch.setattr(
+            core, "_lib", _FailingLib(core._lib, "repro_backtrack_search")
+        )
+        set_kernel_mode("compiled")
+        with pytest.raises(MemoryError):
+            backtrack_search(random_merged(random.Random(4), 8), 4, 0.1)
+
+
+class _FailingLib:
+    """The loaded library with one entry point reporting allocation failure."""
+
+    def __init__(self, lib, failing: str) -> None:
+        self._lib = lib
+        self._failing = failing
+
+    def __getattr__(self, name):
+        if name == self._failing:
+            return lambda *args: -1
+        return getattr(self._lib, name)
 
 
 class TestMemoizedFrameParity:
     """Workers solve straight off shipped frames — results must not change."""
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_frame_roundtrip_solves_identically(self, mode):
+    def test_frame_roundtrip_solves_identically(self, enter_mode, mode):
         from repro.graph.flat import graph_from_frame
 
         rng = random.Random(17)
@@ -293,7 +387,7 @@ class TestMemoizedFrameParity:
             algorithm = algorithm_cls(4, AlgorithmOptions())
             set_kernel_mode("off")
             reference = algorithm.color(graph)
-            set_kernel_mode(mode)
+            enter_mode(mode)
             candidate = algorithm.color(rebuilt)
             _assert_same_coloring(reference, candidate, (algorithm_cls.__name__, mode))
 
@@ -313,7 +407,7 @@ class TestCircuitSweep:
             "S38584", "S15850",
         ],
     )
-    def test_all_components_identical(self, circuit, mode):
+    def test_all_components_identical(self, enter_mode, circuit, mode):
         from repro.bench.factory import circuit_graph
         from repro.graph.components import connected_components
 
@@ -326,7 +420,7 @@ class TestCircuitSweep:
             for component in components:
                 set_kernel_mode("off")
                 reference = algorithm.color(component)
-                set_kernel_mode(mode)
+                enter_mode(mode)
                 candidate = algorithm.color(component)
                 _assert_same_coloring(
                     reference,
@@ -336,7 +430,8 @@ class TestCircuitSweep:
 
 
 class TestEndToEndTable:
-    def test_run_table_identical_off_vs_python(self):
+    @needs_compiled
+    def test_run_table_identical_off_vs_compiled(self):
         """A full (small) experiment run must not depend on the kernel mode."""
         from repro.experiments.runner import run_table
 
@@ -351,7 +446,7 @@ class TestEndToEndTable:
 
         set_kernel_mode("off")
         reference = table()
-        set_kernel_mode("python")
+        set_kernel_mode("compiled")
         candidate = table()
         for ref_row, cand_row in zip(reference.rows, candidate.rows):
             assert (ref_row.circuit, ref_row.algorithm) == (

@@ -8,7 +8,7 @@ norms).  ``ReferenceSolver`` below keeps the original ``solve`` and
 recomputation).  Every float of the result must match exactly, not
 approximately: duplicate edges and hub vertices make many terms land on the
 same cell, which pins the accumulation order.  Every test runs under both
-loops (kernel modes ``python`` and ``compiled``); ``REPRO_SOLVE_KERNELS=python``
+loops (kernel modes ``off`` and ``compiled``); ``REPRO_SOLVE_KERNELS=off``
 skips the compiled one, and ``REPRO_SOLVE_KERNELS=compiled`` fails instead of
 skipping when the core is unavailable.
 """
@@ -24,12 +24,12 @@ from repro.errors import ConfigurationError, SolverError
 from repro.opt.sdp import SdpOptions, SdpResult, VectorProgramSolver
 
 
-@pytest.fixture(autouse=True, params=["python", "compiled"])
+@pytest.fixture(autouse=True, params=["off", "compiled"])
 def relaxation_loop(request):
     """Run the test under the numpy loop and under the compiled loop."""
     env_mode = kernel_mode()
     if request.param == "compiled":
-        if env_mode in ("python", "off"):
+        if env_mode == "off":
             pytest.skip(f"{KERNEL_MODE_ENV}={env_mode} forbids the compiled core")
         if env_mode != "compiled" and compiled_core() is None:
             pytest.skip("compiled solve core unavailable")
