@@ -14,8 +14,8 @@ The color-assignment algorithm only ever sees the final, smallest pieces.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.coloring import ColoringAlgorithm
 from repro.core.options import DivisionOptions
@@ -238,7 +238,7 @@ def _color_with_ghtree(
         return colorer.color(graph)
 
     edges = graph.conflict_edges() + graph.stitch_edges()
-    tree = gomory_hu_tree(graph.vertices(), edges)
+    tree = gomory_hu_tree(graph.vertices(), edges, cap=num_colors)
     parts = tree.components_below(num_colors)
     report.num_ghtree_parts += len(parts)
     if len(parts) <= 1:

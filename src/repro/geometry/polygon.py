@@ -9,7 +9,7 @@ set, which keeps the geometric predicates exact on the integer grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point, as_point
@@ -76,13 +76,17 @@ class Polygon:
 
         The decomposition slices the polygon into horizontal slabs between
         consecutive distinct y coordinates and extracts the covered x
-        intervals of each slab by scanline parity.  The result is cached on
-        first use.
+        intervals of each slab by scanline parity.  A plain rectangle outline
+        (most layout shapes) is its own bounding box and skips the slabs.
+        The result is cached on first use.
         """
         if self._rects:
             return list(self._rects)
-        rects = _decompose_rectilinear(self.vertices)
-        rects = merge_touching_rects(rects)
+        rect = _outline_rect(self.vertices)
+        if rect is not None:
+            rects = [rect]
+        else:
+            rects = merge_touching_rects(_decompose_rectilinear(self.vertices))
         object.__setattr__(self, "_rects", tuple(rects))
         return list(rects)
 
@@ -134,6 +138,23 @@ def _check_rectilinear(verts: Sequence[Point]) -> None:
                 f"outline edge {a} -> {b} is not axis parallel; "
                 "only Manhattan polygons are supported"
             )
+
+
+def _outline_rect(verts: Sequence[Point]) -> Optional[Rect]:
+    """The rectangle a 4-vertex axis-parallel outline encloses, else ``None``.
+
+    Only outlines with two distinct xs and two distinct ys qualify; anything
+    else (including zero-width or zero-height outlines) is left to the slab
+    decomposition, so the result never differs from it.
+    """
+    if len(verts) != 4:
+        return None
+    a, b, c, d = verts
+    vertical_first = a.x == b.x and b.y == c.y and c.x == d.x and d.y == a.y
+    horizontal_first = a.y == b.y and b.x == c.x and c.y == d.y and d.x == a.x
+    if not (vertical_first or horizontal_first) or a.x == c.x or a.y == c.y:
+        return None
+    return Rect(min(a.x, c.x), min(a.y, c.y), max(a.x, c.x), max(a.y, c.y))
 
 
 def _decompose_rectilinear(verts: Sequence[Point]) -> List[Rect]:

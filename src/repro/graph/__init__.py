@@ -24,7 +24,6 @@ from repro.graph.biconnected import (
     biconnected_components,
     bridges,
 )
-from repro.graph.maxflow import FlowNetwork, min_cut
 from repro.graph.gomory_hu import GomoryHuTree, gomory_hu_tree
 from repro.graph.simplify import (
     MergedGraph,
@@ -54,8 +53,6 @@ __all__ = [
     "articulation_points",
     "biconnected_components",
     "bridges",
-    "FlowNetwork",
-    "min_cut",
     "GomoryHuTree",
     "gomory_hu_tree",
     "MergedGraph",

@@ -4,21 +4,25 @@ A Gomory–Hu tree (GH-tree) of an undirected graph is a weighted tree on the
 same vertex set such that, for any vertex pair ``(u, v)``, the minimum u-v cut
 in the graph equals the smallest edge weight on the tree path between ``u``
 and ``v``.  The paper builds the GH-tree with Gusfield's all-pairs method
-[21], which needs only ``n - 1`` max-flow computations (Dinic [22]) and never
-contracts the graph.
+[21], which needs only ``n - 1`` max-flow computations and never contracts
+the graph.  Here the flows are shortest augmenting paths over one flat arc
+array (:class:`repro.graph.maxflow.ArcNetwork`) rather than Dinic [22].
 
 The QPLD graph-division stage removes every tree edge of weight < K; the
 resulting forest components are exactly the parts separated by some
-(K-1)-cut (Lemma 2 / Theorem 2).
+(K-1)-cut (Lemma 2 / Theorem 2).  Division asks nothing else of the tree, so
+it builds it with ``cap=K``: each flow stops once it reaches K, which leaves
+:meth:`GomoryHuTree.components_below` at K unchanged (the argument is in
+:func:`gomory_hu_tree`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphError
-from repro.graph.maxflow import FlowNetwork
+from repro.graph.maxflow import ArcNetwork
 
 
 @dataclass
@@ -113,6 +117,7 @@ def gomory_hu_tree(
     vertices: Sequence[int],
     edges: Iterable[Tuple[int, int]],
     capacity: int = 1,
+    cap: Optional[int] = None,
 ) -> GomoryHuTree:
     """Build the GH-tree of an undirected graph with uniform edge capacities.
 
@@ -122,34 +127,55 @@ def gomory_hu_tree(
         Vertex ids (the graph must be connected on these vertices; for
         decomposition graphs the caller runs this per connected component).
     edges:
-        Undirected edges; parallel edges add capacity.
+        Undirected edges between ``vertices``; parallel edges add capacity.
     capacity:
         Capacity of each edge (1 for conflict graphs).
+    cap:
+        Stop every flow once it reaches ``cap`` (a positive threshold).  Tree
+        weights below ``cap`` stay exact min-cut values; an edge whose flow
+        reached ``cap`` gets weight ``cap``.  The tree is then only good for
+        ``components_below(cap)``, which is all the graph division asks of
+        it.
+
+    Gusfield's loop runs ``n - 1`` flows over one :class:`ArcNetwork`, the
+    i-th from vertex ``i`` to its current parent ``p[i]``; below the cap the
+    minimum cut's source side ``S`` re-parents every later ``j`` in ``S``
+    with ``p[j] == p[i]`` to ``i``.  With a cap, an edge whose flow reaches
+    ``cap`` moves no parent.  That keeps ``components_below(cap)`` exact:
+
+    ``λ(u, v) >= cap`` is an equivalence relation (``λ(a, c) >= min(λ(a, b),
+    λ(b, c))``); call its classes the *cap-classes*.  A cut of value below
+    ``cap`` never splits a cap-class, so every ``S`` is a union of them.
+    Induction over ``i`` keeps two invariants: once some member of a
+    cap-class is processed (or is the root), all its unprocessed members have
+    a parent inside the class; before that, all its members share one
+    parent.  So when ``i`` is processed, either ``p[i]`` is in ``i``'s class
+    (the flow reaches ``cap``; ``i`` and ``p[i]`` are interchangeable at this
+    threshold and nothing needs to move) or no member of ``i``'s class was
+    processed yet, the flow is exact and below ``cap``, and ``S`` moves the
+    whole unprocessed class under ``i``.  Each cap-class is therefore a
+    subtree joined by weight-``cap`` edges with exactly one lighter edge to
+    its parent, and the forest left after removing weights below ``cap`` is
+    the partition into cap-classes, as for the exact tree.
     """
     vertices = sorted(set(vertices))
-    edge_list = [tuple(e) for e in edges]
-    if len(vertices) == 0:
-        return GomoryHuTree([], [])
-    if len(vertices) == 1:
+    n = len(vertices)
+    if n <= 1:
         return GomoryHuTree(list(vertices), [])
 
-    root = vertices[0]
-    parent: Dict[int, int] = {v: root for v in vertices if v != root}
-    flow_value: Dict[int, int] = {}
-
-    for index, vertex in enumerate(vertices[1:], start=1):
-        network = FlowNetwork.from_edges(edge_list, capacity=capacity, vertices=vertices)
-        target = parent[vertex]
-        value = network.max_flow(vertex, target)
-        flow_value[vertex] = value
-        source_side = network.min_cut_partition(vertex)
-        for other in vertices[index + 1 :]:
-            if other in source_side and parent[other] == target:
-                parent[other] = vertex
+    network = ArcNetwork(vertices, edges, capacity)
+    parent = [0] * n
+    weight = [0] * n
+    for i in range(1, n):
+        target = parent[i]
+        weight[i], source_side = network.max_flow(i, target, cap)
+        if source_side is None:
+            continue
+        for j in source_side:
+            if j > i and parent[j] == target:
+                parent[j] = i
 
     tree_edges = [
-        (vertex, parent[vertex], flow_value[vertex])
-        for vertex in vertices
-        if vertex != root
+        (vertices[i], vertices[parent[i]], weight[i]) for i in range(1, n)
     ]
     return GomoryHuTree(list(vertices), tree_edges)

@@ -1,194 +1,105 @@
-"""Dinic's blocking-flow maximum-flow algorithm.
+"""Augmenting-path maximum flow over one flat arc array.
 
 The GH-tree based (K-1)-cut removal of Section 4 needs ``n - 1`` minimum
-s-t cut computations per component (Gusfield's construction).  The paper uses
-Dinic's algorithm [22]; this module provides an adjacency-list implementation
-operating on unit-capacity undirected conflict graphs but supporting arbitrary
-integer capacities so it can also be unit-tested against networkx on weighted
-graphs.
+s-t cut computations per piece (Gusfield's construction, see
+:mod:`repro.graph.gomory_hu`).  The paper uses Dinic [22].  The pieces that
+reach this stage are small unit-capacity multigraphs, and division only
+needs to know whether each cut reaches K, so plain shortest-augmenting-path
+search (Edmonds–Karp) over a flat arc array does the job with far less
+bookkeeping; the optional ``cap`` stops a flow once it reaches K.  Dinic
+survives as the test oracle (``tests/graph/maxflow_oracle.py``).
+
+Arc ``a`` and arc ``a ^ 1`` are mutual residuals.  An undirected edge of
+capacity ``c`` is the pair of arcs of capacity ``c`` each, the standard
+reduction for undirected min cut; parallel edges add capacity.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 
 
-class FlowNetwork:
-    """Residual flow network with undirected-edge support.
+class ArcNetwork:
+    """An undirected flow network on vertex indices ``0 .. n-1``.
 
-    Edges are stored in a flat arc list; arc ``i`` and arc ``i ^ 1`` are
-    mutual residuals.  An undirected edge of capacity ``c`` is modelled as a
-    pair of arcs of capacity ``c`` each, which is the standard reduction for
-    undirected min-cut.
+    ``arcs[v]`` lists the arcs leaving ``v``; ``heads[a]`` is the head of arc
+    ``a``; ``capacities[a]`` its base capacity.  :meth:`max_flow` works on a
+    list copy of the capacities, so one network serves any number of flows.
     """
 
-    def __init__(self) -> None:
-        self._heads: List[int] = []
-        self._capacities: List[int] = []
-        self._adjacency: Dict[int, List[int]] = {}
+    __slots__ = ("arcs", "heads", "capacities")
 
-    # ---------------------------------------------------------------- build
-    def add_vertex(self, vertex: int) -> None:
-        """Ensure ``vertex`` exists in the network."""
-        self._adjacency.setdefault(vertex, [])
-
-    def vertices(self) -> List[int]:
-        """Return all vertex ids."""
-        return sorted(self._adjacency)
-
-    def add_edge(self, u: int, v: int, capacity: int, undirected: bool = True) -> None:
-        """Add an edge from ``u`` to ``v`` with the given capacity.
-
-        With ``undirected=True`` (the default, matching conflict graphs) the
-        reverse direction receives the same capacity instead of zero.
-        """
-        if capacity < 0:
-            raise GraphError(f"negative capacity {capacity}")
-        if u == v:
-            raise GraphError(f"self loop on vertex {u}")
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._adjacency[u].append(len(self._heads))
-        self._heads.append(v)
-        self._capacities.append(capacity)
-        self._adjacency[v].append(len(self._heads))
-        self._heads.append(u)
-        self._capacities.append(capacity if undirected else 0)
-
-    @staticmethod
-    def from_edges(
+    def __init__(
+        self,
+        vertices: Sequence[int],
         edges: Iterable[Tuple[int, int]],
         capacity: int = 1,
-        vertices: Iterable[int] = (),
-    ) -> "FlowNetwork":
-        """Build a unit-capacity undirected network from an edge list."""
-        network = FlowNetwork()
-        for vertex in vertices:
-            network.add_vertex(vertex)
+    ) -> None:
+        if capacity < 0:
+            raise GraphError(f"negative capacity {capacity}")
+        index: Dict[int, int] = {v: i for i, v in enumerate(vertices)}
+        self.arcs: List[List[int]] = [[] for _ in index]
+        self.heads: List[int] = []
         for u, v in edges:
-            network.add_edge(u, v, capacity)
-        return network
+            if u == v:
+                raise GraphError(f"self loop on vertex {u}")
+            if u not in index or v not in index:
+                raise GraphError(f"edge ({u}, {v}) leaves the vertex set")
+            iu, iv = index[u], index[v]
+            self.arcs[iu].append(len(self.heads))
+            self.heads.append(iv)
+            self.arcs[iv].append(len(self.heads))
+            self.heads.append(iu)
+        self.capacities: List[int] = [capacity] * len(self.heads)
 
-    # ---------------------------------------------------------------- solve
-    def max_flow(self, source: int, sink: int) -> int:
-        """Return the maximum flow value from ``source`` to ``sink``.
+    def max_flow(
+        self, source: int, sink: int, cap: Optional[int] = None
+    ) -> Tuple[int, Optional[List[int]]]:
+        """Return ``(value, source_side)`` of a maximum ``source``-``sink`` flow.
 
-        The residual capacities are left in place afterwards so
-        :meth:`min_cut_partition` can read off the source side of the cut.
-        Call :meth:`reset` (or rebuild) before reusing the network for a
-        different terminal pair.
+        ``source_side`` lists the vertices reachable from ``source`` in the
+        final residual network: the source side of the minimum cut, the same
+        set for every maximum flow.  With ``cap``, the search stops once the
+        flow reaches ``cap`` and returns ``(cap, None)``: the cut value is then
+        only known to be at least ``cap``.
         """
         if source == sink:
             raise GraphError("source and sink must differ")
-        if source not in self._adjacency or sink not in self._adjacency:
-            raise GraphError("source or sink not in network")
-        self._flow_backup = list(self._capacities)
-        total = 0
+        arcs, heads = self.arcs, self.heads
+        residual = list(self.capacities)
+        n = len(arcs)
+        flow = 0
         while True:
-            levels = self._bfs_levels(source, sink)
-            if levels.get(sink) is None:
-                break
-            pointers = {v: 0 for v in self._adjacency}
-            while True:
-                pushed = self._dfs_push(source, sink, float("inf"), levels, pointers)
-                if pushed == 0:
-                    break
-                total += pushed
-        return total
-
-    def reset(self) -> None:
-        """Restore the capacities saved by the last :meth:`max_flow` call."""
-        backup = getattr(self, "_flow_backup", None)
-        if backup is not None:
-            self._capacities = list(backup)
-
-    def min_cut_partition(self, source: int) -> Set[int]:
-        """Return the source side of the minimum cut after :meth:`max_flow`."""
-        side: Set[int] = {source}
-        queue: deque = deque([source])
-        while queue:
-            vertex = queue.popleft()
-            for arc in self._adjacency[vertex]:
-                if self._capacities[arc] > 0:
-                    head = self._heads[arc]
-                    if head not in side:
-                        side.add(head)
+            # BFS for a shortest augmenting path; via[v] is the arc that
+            # reached v (-2 marks the source, -1 unreached).
+            via = [-1] * n
+            via[source] = -2
+            queue = [source]
+            for vertex in queue:
+                for arc in arcs[vertex]:
+                    head = heads[arc]
+                    if via[head] == -1 and residual[arc]:
+                        via[head] = arc
                         queue.append(head)
-        return side
-
-    # -------------------------------------------------------------- internal
-    def _bfs_levels(self, source: int, sink: int) -> Dict[int, int]:
-        levels: Dict[int, int] = {source: 0}
-        queue: deque = deque([source])
-        while queue:
-            vertex = queue.popleft()
-            for arc in self._adjacency[vertex]:
-                head = self._heads[arc]
-                if self._capacities[arc] > 0 and head not in levels:
-                    levels[head] = levels[vertex] + 1
-                    queue.append(head)
-                    if head == sink:
-                        # Keep expanding the level graph fully; early exit is
-                        # only a minor optimisation and complicates levels.
-                        pass
-        return levels
-
-    def _dfs_push(
-        self,
-        vertex: int,
-        sink: int,
-        limit: float,
-        levels: Dict[int, int],
-        pointers: Dict[int, int],
-    ) -> int:
-        """Iterative DFS that pushes one augmenting path along the level graph."""
-        if vertex == sink:
-            return int(limit) if limit != float("inf") else 0
-        path: List[Tuple[int, int]] = []  # (vertex, arc index chosen)
-        stack: List[int] = [vertex]
-        while stack:
-            current = stack[-1]
-            if current == sink:
-                # Found an augmenting path: bottleneck then retreat.
-                bottleneck = min(self._capacities[arc] for _, arc in path)
-                for _, arc in path:
-                    self._capacities[arc] -= bottleneck
-                    self._capacities[arc ^ 1] += bottleneck
-                return bottleneck
-            advanced = False
-            adjacency = self._adjacency[current]
-            while pointers[current] < len(adjacency):
-                arc = adjacency[pointers[current]]
-                head = self._heads[arc]
-                if (
-                    self._capacities[arc] > 0
-                    and levels.get(head) == levels[current] + 1
-                ):
-                    path.append((current, arc))
-                    stack.append(head)
-                    advanced = True
+                if via[sink] != -1:
                     break
-                pointers[current] += 1
-            if not advanced:
-                # Dead end: remove from level graph and backtrack.
-                levels.pop(current, None)
-                stack.pop()
-                if path:
-                    path.pop()
-        return 0
-
-
-def min_cut(
-    edges: Iterable[Tuple[int, int]],
-    source: int,
-    sink: int,
-    vertices: Iterable[int] = (),
-    capacity: int = 1,
-) -> Tuple[int, Set[int]]:
-    """Convenience helper: minimum s-t cut value and source-side partition."""
-    network = FlowNetwork.from_edges(edges, capacity=capacity, vertices=vertices)
-    value = network.max_flow(source, sink)
-    return value, network.min_cut_partition(source)
+            if via[sink] == -1:
+                return flow, queue
+            bottleneck = None
+            vertex = sink
+            while vertex != source:
+                arc = via[vertex]
+                if bottleneck is None or residual[arc] < bottleneck:
+                    bottleneck = residual[arc]
+                vertex = heads[arc ^ 1]
+            vertex = sink
+            while vertex != source:
+                arc = via[vertex]
+                residual[arc] -= bottleneck
+                residual[arc ^ 1] += bottleneck
+                vertex = heads[arc ^ 1]
+            flow += bottleneck
+            if cap is not None and flow >= cap:
+                return cap, None

@@ -8,6 +8,9 @@ algorithms:
   (there are K colors and fewer than K constrained neighbours), so it is
   removed and pushed on a stack, possibly enabling further removals.  Popping
   the stack after coloring restores a complete, conflict-safe assignment.
+  When the compiled solve core is loaded (:mod:`repro.core.kernels`), the
+  peel and the stack pop run in it over the graph's CSR adjacency, with
+  bit-identical stacks and colors; the dict loops below are the reference.
 * **Merged graphs** — the SDP mapping stage unions vertices that the
   relaxation places (almost) parallel; the merged graph carries aggregated
   conflict/stitch weights between groups so the exact backtracking stage can
@@ -16,7 +19,9 @@ algorithms:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphError
@@ -38,6 +43,17 @@ def peel_low_degree_vertices(
     Returns the peeled copy of the graph and the removal stack (in removal
     order; re-insert by popping from the end).
     """
+    core = _compiled_core(num_colors)
+    if core is not None:
+        from repro.core.kernels.adjacency import CSRAdjacency
+
+        flat = graph.to_arrays()
+        alive, _, _, _, ranks = core.peel(
+            num_colors, max_stitch_degree, CSRAdjacency(flat, include_friend=False)
+        )
+        ids = flat.vertex_ids
+        return graph.subgraph(compress(ids, alive)), [ids[r] for r in ranks]
+
     work = graph.copy()
     stack: List[int] = []
     # Seed with all currently removable vertices, then propagate lazily.
@@ -125,9 +141,58 @@ def reinsert_peeled_vertices(
     ``graph`` must be the original (un-peeled) graph; ``coloring`` is extended
     in place and also returned.
     """
-    for vertex in reversed(list(stack)):
-        coloring[vertex] = legal_color(graph, vertex, coloring, num_colors)
+    stack = list(stack)
+    core = _compiled_core(num_colors) if stack else None
+    if core is None or not _reinsert_compiled(core, graph, coloring, stack, num_colors):
+        for vertex in reversed(stack):
+            coloring[vertex] = legal_color(graph, vertex, coloring, num_colors)
     return coloring
+
+
+def _reinsert_compiled(
+    core,
+    graph: DecompositionGraph,
+    coloring: Dict[int, int],
+    stack: List[int],
+    num_colors: int,
+) -> bool:
+    """Pop ``stack`` in the compiled core; return False when it cannot run.
+
+    The core keeps blocked colors in a bitmask and walks ranks, so a color
+    outside ``range(num_colors)`` or a stack vertex outside ``graph`` is left
+    to the reference loop, which keeps its exact behavior (errors included).
+    """
+    from repro.core.kernels.adjacency import CSRAdjacency
+
+    flat = graph.to_arrays()
+    rank_of = {vertex: rank for rank, vertex in enumerate(flat.vertex_ids)}
+    colors = array("i", [-1]) * flat.num_vertices
+    for vertex, color in coloring.items():
+        rank = rank_of.get(vertex)
+        if rank is not None:
+            if not 0 <= color < num_colors:
+                return False
+            colors[rank] = color
+    if not all(vertex in rank_of for vertex in stack):
+        return False
+    ranks = array("i", [rank_of[vertex] for vertex in stack])
+    core.reinsert(num_colors, ranks, CSRAdjacency(flat, include_friend=False), colors)
+    for vertex, rank in zip(reversed(stack), reversed(ranks)):
+        coloring[vertex] = colors[rank]
+    return True
+
+
+def _compiled_core(num_colors: int):
+    """The compiled core when it can run peel/reinsert for ``num_colors``.
+
+    The kernel modules are imported lazily because :mod:`repro.core` imports
+    this module.
+    """
+    from repro.core.kernels import MAX_COMPILED_COLORS, active_core
+
+    if not 1 <= num_colors <= MAX_COMPILED_COLORS:
+        return None
+    return active_core()
 
 
 # --------------------------------------------------------------------------

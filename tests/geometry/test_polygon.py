@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
-from repro.geometry.polygon import Polygon, polygons_bbox
-from repro.geometry.rect import Rect
+from repro.geometry.polygon import Polygon, _decompose_rectilinear, polygons_bbox
+from repro.geometry.rect import Rect, merge_touching_rects
 
 
 def l_shape() -> Polygon:
@@ -63,6 +63,31 @@ class TestPolygonGeometry:
     def test_decomposition_of_rectangle_is_single_rect(self):
         poly = Polygon.from_rect(Rect(5, 5, 25, 45))
         assert poly.to_rects() == [Rect(5, 5, 25, 45)]
+
+    @pytest.mark.parametrize("start", range(4))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rectangle_fast_path_matches_slabs(self, start, reverse):
+        corners = [Point(3, -7), Point(3, 12), Point(40, 12), Point(40, -7)]
+        if reverse:
+            corners.reverse()
+        outline = tuple(corners[start:] + corners[:start])
+        slabs = merge_touching_rects(_decompose_rectilinear(outline))
+        assert Polygon(outline).to_rects() == slabs == [Rect(3, -7, 40, 12)]
+
+    @pytest.mark.parametrize(
+        "outline",
+        [
+            [(0, 0), (0, 5), (0, 9), (0, 2)],  # zero width
+            [(0, 4), (6, 4), (9, 4), (2, 4)],  # zero height
+            [(0, 0), (5, 0), (0, 5), (5, 5)],  # crossing, not axis parallel
+        ],
+    )
+    def test_non_rectangles_take_the_slab_path(self, outline):
+        vertices = tuple(Point(x, y) for x, y in outline)
+        with pytest.raises(GeometryError):
+            _decompose_rectilinear(vertices)
+        with pytest.raises(GeometryError):
+            Polygon(vertices).to_rects()
 
     def test_contains_point(self):
         poly = l_shape()

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from maxflow_oracle import FlowNetwork, min_cut
 from repro.bench.cells import figure6_graph
 from repro.errors import GraphError
 from repro.graph.gomory_hu import GomoryHuTree, gomory_hu_tree
@@ -101,3 +102,92 @@ class TestFigure6:
         sizes = sorted(len(p) for p in parts)
         assert len(parts) >= 2
         assert sum(sizes) == graph.num_vertices
+
+
+def dinic_gusfield(vertices, edges):
+    """Gusfield's tree with one fresh Dinic network per flow (the oracle)."""
+    vertices = sorted(set(vertices))
+    root = vertices[0]
+    parent = {v: root for v in vertices[1:]}
+    weight = {}
+    for index, vertex in enumerate(vertices[1:], start=1):
+        network = FlowNetwork.from_edges(edges, vertices=vertices)
+        target = parent[vertex]
+        weight[vertex] = network.max_flow(vertex, target)
+        side = network.min_cut_partition(vertex)
+        for other in vertices[index + 1 :]:
+            if other in side and parent[other] == target:
+                parent[other] = vertex
+    return [(v, parent[v], weight[v]) for v in vertices[1:]]
+
+
+def random_simple_graph(seed: int):
+    """``(n, edges, k)`` with 2 <= n <= 14 and 2 <= k <= 5, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 15))
+    density = rng.uniform(0.15, 0.8)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return n, edges, 2 + seed % 4
+
+
+def conflict_stitch_multigraph(seed: int):
+    """Conflict plus stitch edges on ``range(n)``; some pairs carry both, as
+    in the edge list division hands the tree."""
+    rng = np.random.default_rng(5000 + seed)
+    n = int(rng.integers(4, 15))
+    conflict = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
+    ]
+    stitch = [(u, v) for (u, v) in conflict if rng.random() < 0.3]
+    stitch += [(i, i + 1) for i in range(n - 1) if rng.random() < 0.3]
+    return n, conflict + stitch
+
+
+class TestCappedTree:
+    """``cap=K`` keeps ``components_below(K)`` exact (the division's query)."""
+
+    @pytest.mark.parametrize("chunk", range(20))
+    def test_matches_k_edge_components(self, chunk):
+        for seed in range(100 * chunk, 100 * (chunk + 1)):
+            n, edges, k = random_simple_graph(seed)
+            g = nx.Graph(edges)
+            g.add_nodes_from(range(n))
+            expected = sorted(sorted(part) for part in nx.k_edge_components(g, k))
+            tree = gomory_hu_tree(range(n), edges, cap=k)
+            assert tree.components_below(k) == expected, seed
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_multigraph_matches_uncapped_partition(self, seed):
+        n, edges = conflict_stitch_multigraph(seed)
+        exact = gomory_hu_tree(range(n), edges)
+        for k in range(2, 6):
+            capped = gomory_hu_tree(range(n), edges, cap=k)
+            assert capped.components_below(k) == exact.components_below(k), k
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_weights_below_cap_are_exact(self, seed):
+        n, edges = conflict_stitch_multigraph(seed)
+        for k in range(2, 6):
+            for u, v, weight in gomory_hu_tree(range(n), edges, cap=k).edges:
+                value, _ = min_cut(edges, u, v, vertices=range(n))
+                if weight < k:
+                    assert weight == value, (u, v, k)
+                else:
+                    assert weight == k and value >= k, (u, v, k)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_uncapped_tree_equals_dinic_gusfield(self, seed):
+        """No cap: the same tree, edge for edge, as Gusfield over Dinic."""
+        n, edges = conflict_stitch_multigraph(seed)
+        assert gomory_hu_tree(range(n), edges).edges == dinic_gusfield(range(n), edges)
+
+    def test_empty_and_singleton(self):
+        for cap in (None, 4):
+            empty = gomory_hu_tree([], [], cap=cap)
+            assert empty.edges == [] and empty.components_below(4) == []
+            single = gomory_hu_tree([3], [], cap=cap)
+            assert single.edges == [] and single.components_below(4) == [[3]]
+
+    def test_disconnected_vertices_split(self):
+        tree = gomory_hu_tree(range(5), [(0, 1), (1, 2), (2, 0)], cap=2)
+        assert tree.components_below(2) == [[0, 1, 2], [3], [4]]

@@ -1,11 +1,13 @@
-"""Unit tests for the Dinic max-flow implementation (networkx as oracle)."""
+"""Max-flow tests: the Dinic oracle against networkx, the library's
+arc-array flow (:class:`repro.graph.maxflow.ArcNetwork`) against the oracle."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from maxflow_oracle import FlowNetwork, min_cut
 from repro.errors import GraphError
-from repro.graph.maxflow import FlowNetwork, min_cut
+from repro.graph.maxflow import ArcNetwork
 
 
 class TestFlowNetworkBasics:
@@ -107,3 +109,67 @@ class TestAgainstNetworkx:
             pytest.skip("empty random graph")
         expected = nx.maximum_flow_value(g, 0, n - 1, capacity="capacity")
         assert net.max_flow(0, n - 1) == expected
+
+
+def random_multigraph(n: int, density: float, seed: int):
+    """Seeded random edges on ``range(n)``; some pairs appear twice."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                edges.append((i, j))
+                if rng.random() < 0.2:
+                    edges.append((j, i))
+    return edges
+
+
+class TestArcNetwork:
+    def test_validation(self):
+        with pytest.raises(GraphError):
+            ArcNetwork([0, 1], [(0, 1)], capacity=-1)
+        with pytest.raises(GraphError):
+            ArcNetwork([0, 1], [(1, 1)])
+        with pytest.raises(GraphError):
+            ArcNetwork([0, 1], [(0, 2)])
+        with pytest.raises(GraphError):
+            ArcNetwork([0, 1], [(0, 1)]).max_flow(0, 0)
+
+    def test_vertices_are_indices(self):
+        network = ArcNetwork([10, 20, 30], [(10, 20), (20, 30), (10, 30)])
+        value, side = network.max_flow(0, 2)
+        assert value == 2
+        assert side == [0]
+
+    def test_network_is_reusable(self):
+        network = ArcNetwork(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
+        first = network.max_flow(0, 3)
+        assert network.max_flow(0, 3) == first
+        assert network.capacities == [1] * 8
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_value_and_cut_side_match_oracle(self, seed):
+        n = 10
+        edges = random_multigraph(n, 0.3, seed)
+        capacity = 1 + seed % 3
+        network = ArcNetwork(range(n), edges, capacity=capacity)
+        for source, sink in [(0, n - 1), (seed % n, (seed + 3) % n)]:
+            oracle = FlowNetwork.from_edges(edges, capacity=capacity, vertices=range(n))
+            expected = oracle.max_flow(source, sink)
+            value, side = network.max_flow(source, sink)
+            assert value == expected
+            # Both report the vertices reachable in the final residual
+            # network: the unique minimal source side of a minimum cut.
+            assert set(side) == oracle.min_cut_partition(source)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cap_stops_at_threshold(self, seed):
+        n = 9
+        edges = random_multigraph(n, 0.45, 1000 + seed)
+        exact, exact_side = ArcNetwork(range(n), edges).max_flow(0, n - 1)
+        for cap in range(1, 6):
+            value, side = ArcNetwork(range(n), edges).max_flow(0, n - 1, cap=cap)
+            if exact >= cap:
+                assert (value, side) == (cap, None)
+            else:
+                assert (value, side) == (exact, exact_side)

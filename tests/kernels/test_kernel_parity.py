@@ -37,50 +37,14 @@ from repro.errors import ConfigurationError
 from repro.graph.decomposition_graph import DecompositionGraph
 from repro.graph.simplify import build_merged_graph
 
-COMPILED_AVAILABLE = compiled_core() is not None
-
-needs_compiled = pytest.mark.skipif(
-    not COMPILED_AVAILABLE, reason="compiled solve core unavailable"
+from parity_support import (  # noqa: F401  (fixtures register by name)
+    MODES,
+    FailingLib,
+    _restore_kernel_mode,
+    assert_same_coloring,
+    enter_mode,
+    needs_compiled,
 )
-
-#: ``auto`` with the build disabled and an empty cache: the path every user
-#: without a C compiler runs (dispatch must select the reference solvers).
-NO_COMPILER = "no-compiler"
-
-MODES = [pytest.param("compiled", marks=needs_compiled), NO_COMPILER]
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_mode():
-    """Never leak an in-process mode override into other tests."""
-    previous = set_kernel_mode(None)
-    set_kernel_mode(previous)
-    yield
-    set_kernel_mode(previous)
-
-
-@pytest.fixture
-def enter_mode(monkeypatch, tmp_path):
-    """Return a switch into one of :data:`MODES` for the candidate run.
-
-    ``no-compiler`` forgets the loaded core and disables its build, so the
-    dispatch sees exactly what a machine without a C compiler sees; the
-    memoised load is forgotten again afterwards so later tests reload it.
-    """
-    from repro.core.kernels import ccore
-
-    def enter(mode):
-        if mode == NO_COMPILER:
-            monkeypatch.setenv(ccore.BUILD_ENV, "0")
-            monkeypatch.setenv(ccore.CACHE_DIR_ENV, str(tmp_path))
-            ccore.reset()
-            set_kernel_mode("auto")
-            assert active_core() is None
-        else:
-            set_kernel_mode(mode)
-
-    yield enter
-    ccore.reset()
 
 
 def random_graph(rng: random.Random, n: int) -> DecompositionGraph:
@@ -121,13 +85,6 @@ def random_merged(rng: random.Random, n: int):
     return build_merged_graph(graph, pairs)
 
 
-def _assert_same_coloring(reference, candidate, context):
-    assert candidate == reference, context
-    # Dict insertion order is part of the contract: downstream wire encoders
-    # and expand_coloring iterate items() in insertion order.
-    assert list(candidate.items()) == list(reference.items()), context
-
-
 class TestGreedyLinearParity:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(10))
@@ -143,7 +100,7 @@ class TestGreedyLinearParity:
                 reference = algorithm.color(graph)
                 enter_mode(mode)
                 candidate = algorithm.color(graph)
-                _assert_same_coloring(
+                assert_same_coloring(
                     reference,
                     candidate,
                     (algorithm_cls.__name__, mode, seed, trial, n, num_colors),
@@ -167,7 +124,7 @@ class TestGreedyLinearParity:
                     reference = algorithm.color(graph)
                     enter_mode(mode)
                     candidate = algorithm.color(graph)
-                    _assert_same_coloring(
+                    assert_same_coloring(
                         reference, candidate, (mode, peer, friendly, refinement)
                     )
 
@@ -194,7 +151,7 @@ class TestBacktrackParity:
                 expansion_limit=limit, statistics=kernel_stats,
             )
             context = (mode, seed, trial, n, num_colors, limit)
-            _assert_same_coloring(reference, candidate, context)
+            assert_same_coloring(reference, candidate, context)
             assert kernel_stats.expansions == reference_stats.expansions, context
             assert kernel_stats.completed == reference_stats.completed, context
             # Bit-identical, not approx: the kernels replicate the reference
@@ -213,7 +170,7 @@ class TestBacktrackParity:
         candidate = run_backtrack_search(
             merged, 3, 0.1, expansion_limit=0, initial=initial
         )
-        _assert_same_coloring(reference, candidate, mode)
+        assert_same_coloring(reference, candidate, mode)
 
 
 class TestDispatchPlumbing:
@@ -335,14 +292,14 @@ class TestCompiledCore:
         reference = algorithm.color(graph)
         set_kernel_mode("compiled")
         candidate = algorithm.color(graph)
-        _assert_same_coloring(reference, candidate, ("color-cap", name))
+        assert_same_coloring(reference, candidate, ("color-cap", name))
 
     @needs_compiled
     def test_peel_allocation_failure_raises(self, monkeypatch):
         from repro.core.kernels.adjacency import CSRAdjacency
 
         core = compiled_core()
-        monkeypatch.setattr(core, "_lib", _FailingLib(core._lib, "repro_peel"))
+        monkeypatch.setattr(core, "_lib", FailingLib(core._lib, "repro_peel"))
         csr = CSRAdjacency(random_graph(random.Random(4), 8).to_arrays())
         with pytest.raises(MemoryError):
             core.peel(4, 2, csr)
@@ -351,24 +308,11 @@ class TestCompiledCore:
     def test_search_allocation_failure_raises(self, monkeypatch):
         core = compiled_core()
         monkeypatch.setattr(
-            core, "_lib", _FailingLib(core._lib, "repro_backtrack_search")
+            core, "_lib", FailingLib(core._lib, "repro_backtrack_search")
         )
         set_kernel_mode("compiled")
         with pytest.raises(MemoryError):
             backtrack_search(random_merged(random.Random(4), 8), 4, 0.1)
-
-
-class _FailingLib:
-    """The loaded library with one entry point reporting allocation failure."""
-
-    def __init__(self, lib, failing: str) -> None:
-        self._lib = lib
-        self._failing = failing
-
-    def __getattr__(self, name):
-        if name == self._failing:
-            return lambda *args: -1
-        return getattr(self._lib, name)
 
 
 class TestMemoizedFrameParity:
@@ -389,7 +333,7 @@ class TestMemoizedFrameParity:
             reference = algorithm.color(graph)
             enter_mode(mode)
             candidate = algorithm.color(rebuilt)
-            _assert_same_coloring(reference, candidate, (algorithm_cls.__name__, mode))
+            assert_same_coloring(reference, candidate, (algorithm_cls.__name__, mode))
 
 
 @pytest.mark.slow
@@ -422,7 +366,7 @@ class TestCircuitSweep:
                 reference = algorithm.color(component)
                 enter_mode(mode)
                 candidate = algorithm.color(component)
-                _assert_same_coloring(
+                assert_same_coloring(
                     reference,
                     candidate,
                     (circuit, algorithm_cls.__name__, mode, component.num_vertices),
